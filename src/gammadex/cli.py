@@ -33,7 +33,6 @@ from .verify import (
     DEFAULT_SEED,
     MIN_REPS,
     VerifyConfig,
-    format_report_table,
     mc_expectation,
     reports_to_json_obj,
     run_verification,
@@ -103,9 +102,9 @@ def read_sample(path: str, column: str | None = None) -> Sample:
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             raw = (row.get(column) or "").strip()
-            values.append(_parse_value(raw, path, lineno))
+            values.append(_parse_value(raw, path, reader.line_num))
     else:
         for lineno, raw in enumerate(lines, start=1):
             raw = raw.strip()
@@ -152,6 +151,14 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
         print("  ".join(c[i].ljust(widths[i]) for i in range(len(headers))))
 
 
+def _emit(obj, rows: list[dict], fmt: str) -> None:
+    """Print ``obj`` as canonical JSON, or ``rows`` as a table or CSV."""
+    if fmt == "json":
+        print(json.dumps(obj, indent=2))
+    else:
+        _print_rows(rows, fmt)
+
+
 def cmd_compute(args) -> int:
     kinds = _parse_kinds(args.index)
     sample = read_sample(args.input, args.column)
@@ -176,18 +183,15 @@ def cmd_compute(args) -> int:
             k.value: debias(k, params, sample.n, indices[k.value]) for k in kinds
         }
 
-    if args.format == "json":
-        print(json.dumps(result, indent=2))
-    else:
-        rows = [
-            {
-                "index": name,
-                "value": value,
-                **({"debiased": result["debiased"][name]} if args.debias else {}),
-            }
-            for name, value in indices.items()
-        ]
-        _print_rows(rows, args.format)
+    rows = [
+        {
+            "index": name,
+            "value": value,
+            **({"debiased": result["debiased"][name]} if args.debias else {}),
+        }
+        for name, value in indices.items()
+    ]
+    _emit(result, rows, args.format)
     return EXIT_OK
 
 
@@ -203,10 +207,7 @@ def cmd_population(args) -> int:
         "lambda": params.rate,
         "values": values,
     }
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        _print_rows([{"index": k, "population": v} for k, v in values.items()], args.format)
+    _emit(obj, [{"index": k, "population": v} for k, v in values.items()], args.format)
     return EXIT_OK
 
 
@@ -235,10 +236,7 @@ def cmd_expect(args) -> int:
         "n": args.n,
         "results": results,
     }
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        _print_rows(results, args.format)
+    _emit(obj, results, args.format)
     return EXIT_OK
 
 
@@ -263,10 +261,8 @@ def cmd_simulate(args) -> int:
         debias_values=args.debias,
         workers=args.workers,
     )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        _print_rows([report.to_dict()], args.format)
+    row = report.to_dict()
+    _emit(row, [row], args.format)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -306,12 +302,8 @@ def cmd_verify(args) -> int:
         alphas=subsets.get("alpha"), lambdas=subsets.get("lambda"), ns=subsets.get("n")
     )
     outcome = run_verification(cfg)
-    if args.format == "json":
-        print(json.dumps(reports_to_json_obj(outcome.reports), indent=2))
-    elif args.format == "table":
-        print(format_report_table(outcome.reports))
-    else:
-        _print_rows([r.to_dict() for r in outcome.reports], args.format)
+    rows = reports_to_json_obj(outcome.reports)
+    _emit(rows, rows, args.format)
     summary = (
         f"verify: {len(outcome.reports)} checks, {outcome.n_failed} beyond z_max; "
         + ("PASS" if outcome.passed else f"FAIL (families: {', '.join(outcome.failed_families)})")

@@ -122,6 +122,11 @@ def _require_n(n: int, minimum: int, kind: IndexKind) -> int:
     return n
 
 
+def _log_gamma_power_ratio(a: float, n: int) -> float:
+    """log(Gamma^n(a + 1/n) / Gamma^n(a)) = n (log Gamma(a + 1/n) - log Gamma(a))."""
+    return n * (log_gamma(a + 1.0 / n) - log_gamma(a))
+
+
 def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
     """E[G_n] for n >= 2; equals the population value (unbiased)."""
     n = _require_n(n, 2, IndexKind.GINI)
@@ -147,7 +152,7 @@ def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
     if n == 1:
         e = 0.0
     else:
-        e = -math.expm1(n * (log_gamma(a + 1.0 / n) - log_gamma(a)) - math.log(a))
+        e = -math.expm1(_log_gamma_power_ratio(a, n) - math.log(a))
     return ExpectationResult(IndexKind.ATKINSON, n, e, pop_atkinson(params))
 
 
@@ -193,7 +198,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     if kind is IndexKind.ATKINSON:
         if n == 1:
             return raw
-        factor = math.exp(digamma(a) + n * (log_gamma(a) - log_gamma(a + 1.0 / n)))
+        factor = math.exp(digamma(a) - _log_gamma_power_ratio(a, n))
         return 1.0 - (1.0 - raw) * factor
     if kind is IndexKind.VMR:
         na = n * a

@@ -8,8 +8,12 @@ observations:
 * Atkinson index (one minus geometric over arithmetic mean),
 * variance-to-mean ratio (unbiased sample variance over the mean).
 
-Sums that feed ratios use ``math.fsum`` so the O(n log n) Gini path and
-the brute-force pairwise oracle agree to ~1e-15 even for large samples.
+Each index is defined once, as a function of the last axis of an array
+and of a row-sum reducer.  The one-sample API passes ``math.fsum``, so
+sums that feed ratios are compensated and the O(n log n) Gini path and
+the brute-force pairwise oracle agree to ~1e-15 even for large samples;
+Monte Carlo blocks pass ``row_sums`` and get one value per row of a 2-D
+array from the same formulas.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -34,6 +38,8 @@ __all__ = [
     "atkinson",
     "vmr",
     "compute_index",
+    "index_values",
+    "row_sums",
 ]
 
 
@@ -104,12 +110,12 @@ def _require_n(s: Sample, minimum: int, what: str) -> None:
         raise SizeError(f"{what} needs at least {minimum} observations, got {s.n}")
 
 
-def _snap(value: float, lo: float | None = None, hi: float | None = None, slack: float = 1e-9) -> float:
+def _snap(value, lo: float | None = None, hi: float | None = None, slack: float = 1e-9):
     """Pull values that violate a mathematical bound by rounding noise back onto it."""
-    if lo is not None and lo - slack <= value < lo:
-        return lo
-    if hi is not None and hi < value <= hi + slack:
-        return hi
+    if lo is not None:
+        value = np.where((lo - slack <= value) & (value < lo), lo, value)
+    if hi is not None:
+        value = np.where((hi < value) & (value <= hi + slack), hi, value)
     return value
 
 
@@ -127,9 +133,72 @@ def gini_pairwise(values: SampleLike) -> float:
     s = as_sample(values)
     _require_n(s, 2, "gini")
     y = s.values
-    row_sums = [float(np.abs(y[i] - y[i + 1 :]).sum()) for i in range(s.n - 1)]
-    numerator = math.fsum(row_sums)
-    return _snap(numerator / ((s.n - 1) * s.total), lo=0.0, hi=1.0)
+    pair_sums = [float(np.abs(y[i] - y[i + 1 :]).sum()) for i in range(s.n - 1)]
+    numerator = math.fsum(pair_sums)
+    return float(_snap(numerator / ((s.n - 1) * s.total), lo=0.0, hi=1.0))
+
+
+# ---------------------------------------------------------------------------
+# One definition per index.  ``y`` holds samples along its last axis and
+# ``reduce`` sums over that axis: ``math.fsum`` for one sample, ``row_sums``
+# for a block of samples (one per row).
+# ---------------------------------------------------------------------------
+
+Reducer = Callable[[np.ndarray], "float | np.ndarray"]
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as a length-1 axis so they broadcast."""
+    return x.sum(axis=-1, keepdims=True)
+
+
+def _gini(y: np.ndarray, reduce: Reducer):
+    n = y.shape[-1]
+    weights = 2.0 * np.arange(1, n + 1) - n - 1.0
+    numerator = reduce(weights * np.sort(y, axis=-1))
+    return _snap(numerator / ((n - 1) * reduce(y)), lo=0.0, hi=1.0)
+
+
+def _theil_t(y: np.ndarray, reduce: Reducer):
+    total = reduce(y)
+    mu = total / y.shape[-1]
+    return _snap(reduce(y * np.log(y / mu)) / total, lo=0.0)
+
+
+def _atkinson(y: np.ndarray, reduce: Reducer):
+    n = y.shape[-1]
+    log_ratio = reduce(np.log(y)) / n - np.log(reduce(y) / n)
+    return _snap(-np.expm1(log_ratio), lo=0.0)
+
+
+def _vmr(y: np.ndarray, reduce: Reducer):
+    n = y.shape[-1]
+    mu = reduce(y) / n
+    return reduce(np.square(y - mu)) / (n - 1) / mu
+
+
+_KERNELS = {
+    IndexKind.GINI: _gini,
+    IndexKind.THEIL_T: _theil_t,
+    IndexKind.ATKINSON: _atkinson,
+    IndexKind.VMR: _vmr,
+}
+
+
+def index_values(kind: IndexKind, y: np.ndarray, reduce: Reducer = row_sums):
+    """The index of each sample along the last axis of ``y``.
+
+    With the default ``row_sums`` a 2-D array of strictly positive values
+    gives an ``(rows, 1)`` column; no input checks are made.
+    """
+    return _KERNELS[kind](y, reduce)
+
+
+def compute_index(kind: IndexKind, values: SampleLike) -> float:
+    """Evaluate one index selected by kind, with compensated sums."""
+    s = as_sample(values)
+    _require_n(s, kind.min_n, kind.value)
+    return float(index_values(kind, s.values, math.fsum))
 
 
 def gini_sorted(values: SampleLike) -> float:
@@ -138,13 +207,7 @@ def gini_sorted(values: SampleLike) -> float:
     With y_(1) <= ... <= y_(n), sum_{i<j} |y_i - y_j| equals
     sum_i (2i - n - 1) y_(i); ties need no special handling.
     """
-    s = as_sample(values)
-    _require_n(s, 2, "gini")
-    y = np.sort(s.values)
-    n = s.n
-    weights = 2.0 * np.arange(1, n + 1) - n - 1.0
-    numerator = math.fsum(weights * y)
-    return _snap(numerator / ((n - 1) * s.total), lo=0.0, hi=1.0)
+    return compute_index(IndexKind.GINI, values)
 
 
 def gini(values: SampleLike) -> float:
@@ -158,11 +221,7 @@ def theil_t(values: SampleLike) -> float:
     Zero for a single observation and for constant samples; bounded by
     log(n).
     """
-    s = as_sample(values)
-    y = s.values
-    mu = s.mean
-    numerator = math.fsum(y * np.log(y / mu))
-    return _snap(numerator / s.total, lo=0.0)
+    return compute_index(IndexKind.THEIL_T, values)
 
 
 def atkinson(values: SampleLike) -> float:
@@ -171,28 +230,9 @@ def atkinson(values: SampleLike) -> float:
     The geometric mean is evaluated as exp(mean of logs); the ratio is
     formed in log space so a singleton gives exactly zero.
     """
-    s = as_sample(values)
-    log_ratio = math.fsum(np.log(s.values)) / s.n - math.log(s.mean)
-    return _snap(-math.expm1(log_ratio), lo=0.0)
+    return compute_index(IndexKind.ATKINSON, values)
 
 
 def vmr(values: SampleLike) -> float:
     """Sample variance-to-mean ratio with the unbiased (n-1) variance."""
-    s = as_sample(values)
-    _require_n(s, 2, "vmr")
-    mu = s.mean
-    ss = math.fsum(np.square(s.values - mu))
-    return ss / (s.n - 1) / mu
-
-
-_DISPATCH = {
-    IndexKind.GINI: gini,
-    IndexKind.THEIL_T: theil_t,
-    IndexKind.ATKINSON: atkinson,
-    IndexKind.VMR: vmr,
-}
-
-
-def compute_index(kind: IndexKind, values: SampleLike) -> float:
-    """Evaluate one index selected by kind."""
-    return _DISPATCH[kind](values)
+    return compute_index(IndexKind.VMR, values)

@@ -1,9 +1,12 @@
 """Monte Carlo and quadrature checks of every closed form in the package.
 
-Each check produces an ``McReport``.  Monte Carlo checks draw gamma
-samples in fixed-size replicate blocks, one child stream per block
-(``stream_id = anchor + block index``), and reduce block partials with
-exact summation, so results are bit-identical regardless of how many
+Each check produces an ``McReport``.  Every Monte Carlo check runs on one
+block engine: it draws gamma samples in fixed-size replicate blocks, one
+child stream per block (``stream_id = anchor + block index``), maps each
+block to a few statistic columns, and merges each block's count, mean
+vector and centered co-moment matrix (Chan, Golub & LeVeque 1979) in
+block order.  A block's partials depend only on its stream, and the merge
+order is fixed, so results are bit-identical regardless of how many
 workers execute the blocks.  Quadrature and enumeration checks reuse
 the same report shape with ``reps = 0``; quadrature lines carry their
 agreement tolerance as a pseudo standard error so the pass rule
@@ -18,6 +21,7 @@ the two beta-integral identities, and the two-point discrete example.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -28,16 +32,17 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .gamma_forms import (
     GammaParams,
+    _log_gamma_power_ratio,
     debias,
     expectation,
     pop_gini,
     population_value,
 )
-from .indices import IndexKind, gini
+from .indices import IndexKind, gini, index_values, row_sums
 from .quadrature import integrate
 from .rng import RngStream
 from .sampling import gamma_variates
-from .special import digamma, log_beta, log_gamma
+from .special import digamma, log_beta
 
 __all__ = [
     "McReport",
@@ -51,7 +56,6 @@ __all__ = [
     "two_point_remark_check",
     "run_verification",
     "reports_to_json_obj",
-    "format_report_table",
 ]
 
 DEFAULT_SEED = 1729
@@ -111,35 +115,6 @@ def _require_reps(reps: int) -> int:
     return reps
 
 
-# ---------------------------------------------------------------------------
-# Vectorized per-replicate estimators (rows of y are independent samples).
-# The test suite pins these against the scalar definitions in indices.py.
-# ---------------------------------------------------------------------------
-
-
-def _batch_values(kind: IndexKind, y: np.ndarray) -> np.ndarray:
-    n = y.shape[1]
-    if kind is IndexKind.GINI:
-        ys = np.sort(y, axis=1)
-        weights = 2.0 * np.arange(1, n + 1) - n - 1.0
-        return (ys @ weights) / ((n - 1) * y.sum(axis=1))
-    if kind is IndexKind.THEIL_T:
-        if n == 1:
-            return np.zeros(y.shape[0])
-        s = y.sum(axis=1)
-        return (y * np.log(y)).sum(axis=1) / s - np.log(s / n)
-    if kind is IndexKind.ATKINSON:
-        if n == 1:
-            return np.zeros(y.shape[0])
-        s = y.sum(axis=1)
-        return -np.expm1(np.log(y).mean(axis=1) - np.log(s / n))
-    if kind is IndexKind.VMR:
-        mu = y.mean(axis=1)
-        dev = y - mu[:, None]
-        return np.square(dev).sum(axis=1) / (n - 1) / mu
-    raise DomainError(f"unknown index kind {kind!r}")
-
-
 def _debias_affine(kind: IndexKind, params: GammaParams, n: int) -> tuple[float, float]:
     """(intercept, slope) of the exactly affine debias map for this cell."""
     d0 = debias(kind, params, n, 0.0)
@@ -147,53 +122,72 @@ def _debias_affine(kind: IndexKind, params: GammaParams, n: int) -> tuple[float,
     return d0, d1 - d0
 
 
-def _run_blocks(n_blocks: int, fn: Callable[[int], tuple], workers: int) -> list[tuple]:
+def _block_moments(
+    params: GammaParams,
+    n: int,
+    reps: int,
+    rng: RngStream,
+    stat: Callable[[np.ndarray], np.ndarray],
+    workers: int,
+    block_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and sample covariance matrix of ``stat`` over ``reps`` samples.
+
+    Block b holds ``min(block_size, reps - b * block_size)`` samples of size
+    n drawn from child stream b of ``rng``; ``stat`` maps the ``(size_b, n)``
+    block to a ``(size_b, k)`` matrix of statistic columns.  Block partials
+    are merged in block order, whichever worker produced them.
+    """
+    sizes = [min(block_size, reps - start) for start in range(0, reps, block_size)]
+
+    def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
+        y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n)
+        x = stat(y)
+        mean = x.mean(axis=0)
+        dev = x - mean
+        return mean, np.einsum("ij,ik->jk", dev, dev)
+
     if workers <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+        partials = map(one_block, range(len(sizes)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(one_block, range(len(sizes))))
+    count, mean, comoment = 0, 0.0, 0.0
+    for size, (block_mean, block_comoment) in zip(sizes, partials):
+        total = count + size
+        delta = block_mean - mean
+        mean = mean + delta * (size / total)
+        comoment = comoment + block_comoment + np.outer(delta, delta) * (count * size / total)
+        count = total
+    return mean, comoment / (count - 1)
 
 
-def _block_sizes(reps: int, block_size: int) -> list[int]:
-    n_blocks = (reps + block_size - 1) // block_size
-    return [min(block_size, reps - b * block_size) for b in range(n_blocks)]
-
-
-def _mean_stderr(reps: int, s1: float, s2: float) -> tuple[float, float]:
-    mean = s1 / reps
-    var = max((s2 - reps * mean * mean) / (reps - 1), 0.0)
-    return mean, math.sqrt(var / reps)
-
-
-def _mc_cell(
+def _index_reports(
     kind: IndexKind,
     params: GammaParams,
     n: int,
     reps: int,
     rng: RngStream,
+    z_max: float,
     workers: int,
     block_size: int,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(raw (mean, stderr), debiased (mean, stderr)) from one simulation."""
-    sizes = _block_sizes(reps, block_size)
+) -> tuple[McReport, McReport]:
+    """(raw, debiased) reports of one estimator from one simulation.
+
+    The debias map is affine in the raw value, so the debiased mean and
+    standard error follow from the raw ones.
+    """
+    stat = functools.partial(index_values, kind)
+    mean, cov = _block_moments(params, n, reps, rng, stat, workers, block_size)
+    mean, se = float(mean[0]), math.sqrt(cov[0, 0] / reps)
     intercept, slope = _debias_affine(kind, params, n)
-
-    def one_block(b: int) -> tuple:
-        stream = rng.spawn(b)
-        y = gamma_variates(stream, params, sizes[b] * n).reshape(sizes[b], n)
-        v = _batch_values(kind, y)
-        dv = intercept + slope * v
-        return (
-            float(v.sum()), float(np.square(v).sum()),
-            float(dv.sum()), float(np.square(dv).sum()),
-        )
-
-    partials = _run_blocks(len(sizes), one_block, workers)
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
-    d1 = math.fsum(p[2] for p in partials)
-    d2 = math.fsum(p[3] for p in partials)
-    return _mean_stderr(reps, s1, s2), _mean_stderr(reps, d1, d2)
+    cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
+    raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
+                  expectation(kind, params, n).expectation, z_max, family=f"mc:{kind.value}")
+    debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps, intercept + slope * mean,
+                       abs(slope) * se, population_value(kind, params), z_max,
+                       family=f"debiased:{kind.value}")
+    return raw, debiased
 
 
 def mc_expectation(
@@ -218,15 +212,14 @@ def mc_expectation(
     n = int(n)
     if n < kind.min_n:
         raise SizeError(f"{kind.value} needs n >= {kind.min_n}, got {n}")
-    (mean, se), (dmean, dse) = _mc_cell(kind, params, n, reps, rng, workers, block_size)
-    cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
-    if debias_values:
-        target = population_value(kind, params)
-        return _report(f"{kind.value}_debiased[{cell}]", n, reps, dmean, dse, target,
-                       z_max, family=f"debiased:{kind.value}")
-    target = expectation(kind, params, n).expectation
-    return _report(f"{kind.value}[{cell}]", n, reps, mean, se, target,
-                   z_max, family=f"mc:{kind.value}")
+    raw, debiased = _index_reports(kind, params, n, reps, rng, z_max, workers, block_size)
+    return debiased if debias_values else raw
+
+
+def _lukacs_columns(y: np.ndarray) -> np.ndarray:
+    s = row_sums(y)
+    r = y[:, :1] / s
+    return np.hstack([r, np.abs(2.0 * r - 1.0), s])
 
 
 def lukacs_independence_check(
@@ -252,40 +245,18 @@ def lukacs_independence_check(
     n = int(n)
     if n < 2:
         raise SizeError(f"independence check needs n >= 2, got {n}")
-    sizes = _block_sizes(reps, block_size)
-
-    def one_block(b: int) -> tuple:
-        stream = rng.spawn(b)
-        y = gamma_variates(stream, params, sizes[b] * n).reshape(sizes[b], n)
-        s = y.sum(axis=1)
-        r = y[:, 0] / s
-        a = np.abs(2.0 * r - 1.0)
-        return tuple(
-            float(x) for x in (
-                r.sum(), np.square(r).sum(), s.sum(), np.square(s).sum(),
-                (r * s).sum(), a.sum(), np.square(a).sum(), (a * s).sum(),
-            )
-        )
-
-    partials = _run_blocks(len(sizes), one_block, workers)
-    sr, sr2, ss, ss2, srs, sa, sa2, sas = (
-        math.fsum(p[i] for p in partials) for i in range(8)
-    )
-
-    def corr(sx, sx2, sxy):
-        cov = reps * sxy - sx * ss
-        var_x = reps * sx2 - sx * sx
-        var_s = reps * ss2 - ss * ss
-        return cov / math.sqrt(var_x * var_s)
-
-    corr_rs = corr(sr, sr2, srs)
-    corr_as = corr(sa, sa2, sas)
+    _, cov = _block_moments(params, n, reps, rng, _lukacs_columns, workers, block_size)
+    corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
     worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
     stderr = 1.0 / math.sqrt(reps)
     return _report(
         f"lukacs[alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}]",
         n, reps, worst, stderr, 0.0, z_max, family="lukacs",
     )
+
+
+def _dirichlet_product(y: np.ndarray) -> np.ndarray:
+    return np.exp(np.log(y / row_sums(y)).mean(axis=1, keepdims=True))
 
 
 def dirichlet_product_moment_check(
@@ -309,25 +280,11 @@ def dirichlet_product_moment_check(
     if n < 2:
         raise SizeError(f"product moment check needs n >= 2, got {n}")
     params = GammaParams(alpha)
-    target = math.exp(
-        n * (log_gamma(alpha + 1.0 / n) - log_gamma(alpha)) - math.log(n * alpha)
-    )
-    sizes = _block_sizes(reps, block_size)
-
-    def one_block(b: int) -> tuple:
-        stream = rng.spawn(b)
-        g = gamma_variates(stream, params, sizes[b] * n).reshape(sizes[b], n)
-        z = g / g.sum(axis=1, keepdims=True)
-        p = np.exp(np.log(z).mean(axis=1))
-        return float(p.sum()), float(np.square(p).sum())
-
-    partials = _run_blocks(len(sizes), one_block, workers)
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
-    mean, se = _mean_stderr(reps, s1, s2)
+    target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
+    mean, cov = _block_moments(params, n, reps, rng, _dirichlet_product, workers, block_size)
     return _report(
         f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
-        n, reps, mean, se, target, z_max, family="dirichlet",
+        n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, z_max, family="dirichlet",
     )
 
 
@@ -488,24 +445,14 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
         for alpha in cfg.alphas:
             for lam in cfg.lambdas:
                 for n in cfg.ns:
-                    rng = anchor()
-                    params = GammaParams(alpha, lam)
-                    (mean, se), (dmean, dse) = _mc_cell(
-                        kind, params, n, cfg.reps, rng, cfg.workers, cfg.block_size
+                    raw, debiased = _index_reports(
+                        kind, GammaParams(alpha, lam), n, cfg.reps, anchor(),
+                        cfg.z_max, cfg.workers, cfg.block_size,
                     )
-                    label = f"{kind.value}[alpha={_fmt(alpha)},lambda={_fmt(lam)}]"
-                    target = expectation(kind, params, n).expectation
-                    raw = _report(label, n, cfg.reps, mean, se, target,
-                                  cfg.z_max, family=f"mc:{kind.value}")
                     reports.append(raw)
                     raw_means[(kind, alpha, lam, n)] = raw
                     if kind is not IndexKind.GINI:
-                        dtarget = population_value(kind, params)
-                        reports.append(_report(
-                            f"{kind.value}_debiased[alpha={_fmt(alpha)},lambda={_fmt(lam)}]",
-                            n, cfg.reps, dmean, dse, dtarget,
-                            cfg.z_max, family=f"debiased:{kind.value}",
-                        ))
+                        reports.append(debiased)
 
     # Rate-sweep invariance of the scale-free indices: means at different
     # rates are independent runs and must agree within combined error.
@@ -580,29 +527,3 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
 
 def reports_to_json_obj(reports: Sequence[McReport]) -> list[dict]:
     return [r.to_dict() for r in reports]
-
-
-def format_report_table(reports: Sequence[McReport]) -> str:
-    """Aligned plain-text table of reports, values at 7 significant digits."""
-    headers = ["kind", "n", "reps", "mc_mean", "mc_stderr", "target", "z_score", "pass"]
-    rows = [
-        [
-            r.kind,
-            str(r.n),
-            str(r.reps),
-            f"{r.mc_mean:.7g}",
-            f"{r.mc_stderr:.7g}",
-            f"{r.target:.7g}",
-            f"{r.z_score:.7g}",
-            "pass" if r.passed else "FAIL",
-        ]
-        for r in reports
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    lines.extend("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))) for row in rows)
-    return "\n".join(lines)

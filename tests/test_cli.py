@@ -75,6 +75,18 @@ class TestReadSample:
         with pytest.raises(DataError, match=r":3:"):
             read_sample(str(p))
 
+    def test_csv_line_number_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("id,y\n1,1\n\n2,2\n3,0\n")
+        with pytest.raises(DataError, match=r":5:"):
+            read_sample(str(p))
+
+    def test_csv_line_number_after_multiline_field(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('id,y\n"a\nb",1\n2,-1\n')
+        with pytest.raises(DataError, match=r":4:"):
+            read_sample(str(p))
+
     def test_missing_csv_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")
@@ -273,7 +285,10 @@ class TestVerify:
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, *VERIFY_ARGS, "--format", "table")
         assert code == EXIT_OK
-        assert out.splitlines()[0].startswith("kind")
+        lines = out.splitlines()
+        assert lines[0].startswith("kind")
+        assert len(lines) == 2 + 60  # header, rule, one line per report
+        assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
 
     def test_bad_grid_token(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--grid", "gamma=1")

@@ -1,4 +1,4 @@
-"""Verification harness: batch estimators, identity checks, MC reports."""
+"""Verification harness: batch estimators, block engine, identity checks, MC reports."""
 
 import json
 import math
@@ -8,17 +8,16 @@ import pytest
 
 from gammadex.errors import DomainError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
-from gammadex.indices import IndexKind, atkinson, gini, theil_t, vmr
+from gammadex.indices import IndexKind, atkinson, gini, index_values, theil_t, vmr
 from gammadex.rng import RngStream
 from gammadex.verify import (
     McReport,
     VerifyConfig,
-    _batch_values,
+    _block_moments,
     _debias_affine,
     abs_2r_minus_1_check,
     beta_ulogu_check,
     dirichlet_product_moment_check,
-    format_report_table,
     lukacs_independence_check,
     mc_expectation,
     reports_to_json_obj,
@@ -35,21 +34,40 @@ SCALAR = {
 
 
 class TestBatchEstimators:
-    """The vectorized per-replicate estimators must equal the scalar ones."""
+    """The shared kernels with the row-sum reducer must match the fsum API."""
 
     @pytest.mark.parametrize("kind", list(IndexKind))
     @pytest.mark.parametrize("n", [2, 3, 10, 57])
     def test_matches_scalar_definitions(self, kind, n):
         rng = np.random.default_rng(1234 + n)
         y = rng.gamma(1.5, 2.0, size=(200, n)) + 1e-12
-        batch = _batch_values(kind, y)
+        batch = index_values(kind, y)
+        assert batch.shape == (200, 1)
         for i in range(0, 200, 17):
-            assert batch[i] == pytest.approx(SCALAR[kind](y[i]), rel=1e-11, abs=1e-12)
+            assert batch[i, 0] == pytest.approx(SCALAR[kind](y[i]), rel=1e-11, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [IndexKind.THEIL_T, IndexKind.ATKINSON])
     def test_n1_rows_are_zero(self, kind):
         y = np.random.default_rng(5).gamma(2.0, 1.0, size=(50, 1))
-        assert np.all(_batch_values(kind, y) == 0.0)
+        assert np.all(index_values(kind, y) == 0.0)
+
+
+class TestBlockEngine:
+    def test_merged_moments_match_concatenated_column(self):
+        columns = []
+
+        def stat(y):
+            col = index_values(IndexKind.THEIL_T, y)
+            columns.append(col[:, 0])
+            return col
+
+        mean, cov = _block_moments(
+            GammaParams(1.5, 2.0), 4, 23_457, RngStream(3, 0), stat, 1, 5_000
+        )
+        assert [c.size for c in columns] == [5_000] * 4 + [3_457]
+        column = np.concatenate(columns)
+        assert mean[0] == pytest.approx(np.mean(column), rel=1e-12)
+        assert cov[0, 0] == pytest.approx(np.var(column, ddof=1), rel=1e-12)
 
 
 class TestDebiasAffine:
@@ -92,13 +110,20 @@ class TestMcExpectation:
         assert r.passed
 
     def test_worker_count_does_not_change_results(self):
+        """Every Monte Carlo check on the block engine, not only this one."""
         p = GammaParams(2.0, 1.0)
-        runs = [
-            mc_expectation(IndexKind.GINI, p, 5, 30_000, RngStream(7, 0), workers=w)
-            for w in (1, 2, 4)
+        checks = [
+            lambda w: mc_expectation(IndexKind.GINI, p, 5, 30_000, RngStream(7, 0), workers=w),
+            lambda w: lukacs_independence_check(
+                GammaParams(0.5), 3, 30_000, RngStream(7, 0), workers=w, block_size=7_000
+            ),
+            lambda w: dirichlet_product_moment_check(
+                2.0, 3, 30_000, RngStream(7, 0), workers=w, block_size=7_000
+            ),
         ]
-        assert runs[0].mc_mean == runs[1].mc_mean == runs[2].mc_mean
-        assert runs[0].mc_stderr == runs[1].mc_stderr == runs[2].mc_stderr
+        for check in checks:
+            runs = [check(w) for w in (1, 2, 4)]
+            assert runs[0] == runs[1] == runs[2]
 
     def test_rejects_low_reps(self):
         with pytest.raises(SizeError):
@@ -194,17 +219,6 @@ class TestReports:
         ]
         assert d["pass"] is True
         json.dumps(d)  # must be serializable as-is
-
-    def test_table_alignment(self):
-        reports = [
-            McReport("gini[alpha=1,lambda=1]", 5, 10_000, 0.5, 0.01, 0.5, 0.0, True),
-            McReport("two_point_remark[a=1,b=3]", 2, 0, 0.25, 0.0, 0.25, 0.0, True),
-        ]
-        table = format_report_table(reports)
-        lines = table.splitlines()
-        assert lines[0].startswith("kind")
-        assert len(lines) == 4
-        assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
 
     def test_reports_to_json_obj(self):
         r = McReport("x", 1, 0, 0.0, 0.0, 0.0, 0.0, True)
