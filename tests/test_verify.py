@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gammadex.cli import _emit
 from gammadex.errors import DomainError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
 from gammadex.indices import IndexKind, atkinson, gini, index_values, theil_t, vmr
@@ -219,6 +220,18 @@ class TestReports:
         ]
         assert d["pass"] is True
         json.dumps(d)  # must be serializable as-is
+
+    def test_table_alignment(self, capsys):
+        reports = [
+            McReport("gini[alpha=1,lambda=1]", 5, 10_000, 0.5, 0.01, 0.5, 0.0, True),
+            McReport("two_point_remark[a=1,b=3]", 2, 0, 0.25, 0.0, 0.25, 0.0, True),
+        ]
+        rows = reports_to_json_obj(reports)
+        _emit(rows, rows, "table")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("kind")
+        assert len(lines) == 4
+        assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
 
     def test_reports_to_json_obj(self):
         r = McReport("x", 1, 0, 0.0, 0.0, 0.0, 0.0, True)
