@@ -74,9 +74,9 @@ def _params_from_flags(alpha: float, lam: float | None) -> GammaParams:
 def read_sample(path: str, column: str | None = None) -> Sample:
     """Load a sample from a plain column of numbers or a headered CSV.
 
-    CSV mode is selected by the ``--column`` flag, a comma in the first
-    line, or a non-numeric first line (a lone header); the default
-    column name is ``y``.  Any missing, non-numeric, or non-positive
+    CSV mode is selected by the ``--column`` flag, or when the first
+    non-blank line holds a comma or is not a number (a lone header); the
+    default column name is ``y``.  Any missing, non-numeric, or non-positive
     value aborts the run with the offending line number.
     """
     p = Path(path)
@@ -85,7 +85,8 @@ def read_sample(path: str, column: str | None = None) -> Sample:
     except OSError as exc:
         raise DataError(f"cannot read input file {path!r}: {exc}") from exc
     lines = text.splitlines()
-    if not lines:
+    first = next((line.strip() for line in lines if line.strip()), None)
+    if first is None:
         raise DataError(f"input file {path!r} is empty")
 
     def _is_number(token: str) -> bool:
@@ -95,7 +96,7 @@ def read_sample(path: str, column: str | None = None) -> Sample:
         except ValueError:
             return False
 
-    is_csv = column is not None or "," in lines[0] or not _is_number(lines[0].strip())
+    is_csv = column is not None or "," in first or not _is_number(first)
     values: list[float] = []
     if is_csv:
         column = column or "y"
@@ -162,22 +163,15 @@ def _emit(obj, rows: list[dict], fmt: str) -> None:
 def cmd_compute(args) -> int:
     kinds = _parse_kinds(args.index)
     sample = read_sample(args.input, args.column)
-    for kind in kinds:
-        if sample.n < kind.min_n:
-            raise SizeError(
-                f"index {kind.value!r} needs at least {kind.min_n} observations, "
-                f"got {sample.n}"
-            )
     indices = {k.value: compute_index(k, sample) for k in kinds}
 
     result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
     if args.debias:
         if args.alpha is not None:
-            alpha, source = args.alpha, "given"
+            params, source = _params_from_flags(args.alpha, None), "given"
         else:
-            alpha, source = alpha_plug_in(sample), "plug_in"
-        params = GammaParams(alpha)
-        result["alpha"] = alpha
+            params, source = GammaParams(alpha_plug_in(sample)), "plug_in"
+        result["alpha"] = params.alpha
         result["alpha_source"] = source
         result["debiased"] = {
             k.value: debias(k, params, sample.n, indices[k.value]) for k in kinds
@@ -267,7 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_grid(tokens: list[str]) -> dict:
-    """Parse --grid tokens like ``alpha=0.5,1`` ``n=2,5`` into subsets."""
+    """Parse --grid tokens like ``alpha=0.5,1`` ``n=2,5`` into value tuples."""
     subsets: dict = {}
     for token in tokens:
         if "=" not in token:
@@ -282,25 +276,24 @@ def _parse_grid(tokens: list[str]) -> dict:
             raise UsageError(f"--grid values for {key} must be numbers, got {raw!r}") from None
         if not values:
             raise UsageError(f"--grid {key} needs at least one value")
-        subsets[key] = [int(v) for v in values] if key == "n" else values
+        subsets[key] = tuple(values)
     return subsets
 
 
 def cmd_verify(args) -> int:
-    if args.reps < MIN_REPS:
-        raise UsageError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
-    cfg = VerifyConfig(
-        reps=args.reps,
-        lukacs_reps=min(args.reps, 100_000),
-        dirichlet_reps=args.reps,
-        seed=args.seed,
-        z_max=args.z_max,
-        workers=args.workers,
-    )
-    subsets = _parse_grid(args.grid or [])
-    cfg = cfg.restrict(
-        alphas=subsets.get("alpha"), lambdas=subsets.get("lambda"), ns=subsets.get("n")
-    )
+    grid = _parse_grid(args.grid or [])
+    try:
+        cfg = VerifyConfig(
+            alphas=grid.get("alpha"),
+            lambdas=grid.get("lambda"),
+            ns=grid.get("n"),
+            reps=args.reps,
+            seed=args.seed,
+            z_max=args.z_max,
+            workers=args.workers,
+        )
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     outcome = run_verification(cfg)
     rows = reports_to_json_obj(outcome.reports)
     _emit(rows, rows, args.format)

@@ -115,10 +115,10 @@ def population_value(kind: IndexKind, params: GammaParams) -> float:
     return _POP_DISPATCH[kind](params)
 
 
-def _require_n(n: int, minimum: int, kind: IndexKind) -> int:
+def _require_n(n: int, kind: IndexKind) -> int:
     n = int(n)
-    if n < minimum:
-        raise SizeError(f"{kind.value} expectation needs n >= {minimum}, got {n}")
+    if n < kind.min_n:
+        raise SizeError(f"{kind.value} expectation needs n >= {kind.min_n}, got {n}")
     return n
 
 
@@ -129,14 +129,14 @@ def _log_gamma_power_ratio(a: float, n: int) -> float:
 
 def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
     """E[G_n] for n >= 2; equals the population value (unbiased)."""
-    n = _require_n(n, 2, IndexKind.GINI)
+    n = _require_n(n, IndexKind.GINI)
     g = pop_gini(params)
     return ExpectationResult(IndexKind.GINI, n, g, g)
 
 
 def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
     """E[T_n] for n >= 1; exactly zero at n = 1 (the formula telescopes)."""
-    n = _require_n(n, 1, IndexKind.THEIL_T)
+    n = _require_n(n, IndexKind.THEIL_T)
     a = params.alpha
     if n == 1:
         e = 0.0
@@ -147,7 +147,7 @@ def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
 
 def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
     """E[A_n] for n >= 1; exactly zero at n = 1 (Gamma(a+1) = a Gamma(a))."""
-    n = _require_n(n, 1, IndexKind.ATKINSON)
+    n = _require_n(n, IndexKind.ATKINSON)
     a = params.alpha
     if n == 1:
         e = 0.0
@@ -158,7 +158,7 @@ def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
 
 def expect_vmr(params: GammaParams, n: int) -> ExpectationResult:
     """E[VMR_n] for n >= 2; always below 1/rate (downward bias)."""
-    n = _require_n(n, 2, IndexKind.VMR)
+    n = _require_n(n, IndexKind.VMR)
     na = n * params.alpha
     e = na / ((na + 1.0) * params.rate)
     return ExpectationResult(IndexKind.VMR, n, e, pop_vmr(params))
@@ -185,7 +185,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     (na + 1)/(na).  All corrections assume the shape is known (or plugged
     in); the rate cancels out of every one of them.
     """
-    n = _require_n(n, kind.min_n, kind)
+    n = _require_n(n, kind)
     a = params.alpha
     raw = float(raw)
     if kind is IndexKind.GINI:
@@ -200,10 +200,8 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
             return raw
         factor = math.exp(digamma(a) - _log_gamma_power_ratio(a, n))
         return 1.0 - (1.0 - raw) * factor
-    if kind is IndexKind.VMR:
-        na = n * a
-        return raw * (na + 1.0) / na
-    raise DomainError(f"unknown index kind {kind!r}")
+    na = n * a  # VMR
+    return raw * (na + 1.0) / na
 
 
 def alpha_plug_in(values: SampleLike) -> float:

@@ -168,7 +168,7 @@ def _theil_t(y: np.ndarray, reduce: Reducer):
 def _atkinson(y: np.ndarray, reduce: Reducer):
     n = y.shape[-1]
     log_ratio = reduce(np.log(y)) / n - np.log(reduce(y) / n)
-    return _snap(-np.expm1(log_ratio), lo=0.0)
+    return _snap(0.0 - np.expm1(log_ratio), lo=0.0)  # +0.0, not -0.0, for equal values
 
 
 def _vmr(y: np.ndarray, reduce: Reducer):

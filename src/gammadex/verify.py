@@ -12,11 +12,13 @@ the same report shape with ``reps = 0``; quadrature lines carry their
 agreement tolerance as a pseudo standard error so the pass rule
 ``|z_score| <= z_max`` applies uniformly.
 
-``run_verification`` executes the default grid: raw estimator means
+``run_verification`` executes the fixed grid below: raw estimator means
 against their exact expectations, debiased means against population
 values, rate-sweep invariance for the scale-free indices, the
 proportion-sum independence correlations, the Dirichlet product moment,
 the two beta-integral identities, and the two-point discrete example.
+``VerifyConfig`` can only narrow the Monte Carlo grids to some of their
+alpha, lambda and n values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +66,21 @@ MIN_REPS = 10_000
 # Stream-id spacing between independent checks; blocks within a check use
 # consecutive ids above its anchor.
 _STREAM_STRIDE = 1 << 32
+_BLOCK_SIZE = 25_000
+
+# The verification grid of every check family.
+MC_ALPHAS = (0.5, 1.0, 2.0, 5.0)
+MC_LAMBDAS = (1.0, 3.0)
+MC_NS = (2, 5, 20)
+LUKACS_ALPHAS = (0.5, 1.0, 3.7)
+LUKACS_NS = (2, 5)
+LUKACS_MAX_REPS = 100_000
+DIRICHLET_ALPHAS = (0.5, 1.0, 2.0)
+DIRICHLET_NS = (2, 3, 5)
+ULOGU_SHAPES = (0.5, 1.0, 2.0, 4.5)
+ABS2R_ALPHAS = (0.5, 1.0, 2.0, 5.0)
+TWO_POINT_CASES = ((1.0, 3.0), (2.0, 8.0))
+QUAD_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,16 +146,15 @@ def _block_moments(
     rng: RngStream,
     stat: Callable[[np.ndarray], np.ndarray],
     workers: int,
-    block_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and sample covariance matrix of ``stat`` over ``reps`` samples.
 
-    Block b holds ``min(block_size, reps - b * block_size)`` samples of size
-    n drawn from child stream b of ``rng``; ``stat`` maps the ``(size_b, n)``
+    Block b holds the next 25k samples of size n (fewer in the last block),
+    drawn from child stream b of ``rng``; ``stat`` maps the ``(size_b, n)``
     block to a ``(size_b, k)`` matrix of statistic columns.  Block partials
     are merged in block order, whichever worker produced them.
     """
-    sizes = [min(block_size, reps - start) for start in range(0, reps, block_size)]
+    sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
 
     def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
         y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n)
@@ -170,7 +186,6 @@ def _index_reports(
     rng: RngStream,
     z_max: float,
     workers: int,
-    block_size: int,
 ) -> tuple[McReport, McReport]:
     """(raw, debiased) reports of one estimator from one simulation.
 
@@ -178,7 +193,7 @@ def _index_reports(
     standard error follow from the raw ones.
     """
     stat = functools.partial(index_values, kind)
-    mean, cov = _block_moments(params, n, reps, rng, stat, workers, block_size)
+    mean, cov = _block_moments(params, n, reps, rng, stat, workers)
     mean, se = float(mean[0]), math.sqrt(cov[0, 0] / reps)
     intercept, slope = _debias_affine(kind, params, n)
     cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
@@ -200,7 +215,6 @@ def mc_expectation(
     z_max: float = 4.0,
     debias_values: bool = False,
     workers: int = 1,
-    block_size: int = 25_000,
 ) -> McReport:
     """Mean of the estimator over ``reps`` samples of size n vs its exact target.
 
@@ -212,7 +226,7 @@ def mc_expectation(
     n = int(n)
     if n < kind.min_n:
         raise SizeError(f"{kind.value} needs n >= {kind.min_n}, got {n}")
-    raw, debiased = _index_reports(kind, params, n, reps, rng, z_max, workers, block_size)
+    raw, debiased = _index_reports(kind, params, n, reps, rng, z_max, workers)
     return debiased if debias_values else raw
 
 
@@ -230,7 +244,6 @@ def lukacs_independence_check(
     *,
     z_max: float = 4.0,
     workers: int = 1,
-    block_size: int = 25_000,
 ) -> McReport:
     """Correlation between the proportion and the sum of a gamma sample.
 
@@ -245,7 +258,7 @@ def lukacs_independence_check(
     n = int(n)
     if n < 2:
         raise SizeError(f"independence check needs n >= 2, got {n}")
-    _, cov = _block_moments(params, n, reps, rng, _lukacs_columns, workers, block_size)
+    _, cov = _block_moments(params, n, reps, rng, _lukacs_columns, workers)
     corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
     worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
     stderr = 1.0 / math.sqrt(reps)
@@ -267,7 +280,6 @@ def dirichlet_product_moment_check(
     *,
     z_max: float = 4.0,
     workers: int = 1,
-    block_size: int = 25_000,
 ) -> McReport:
     """MC mean of prod(Z_i^(1/n)) over symmetric Dirichlet draws vs closed form.
 
@@ -281,7 +293,7 @@ def dirichlet_product_moment_check(
         raise SizeError(f"product moment check needs n >= 2, got {n}")
     params = GammaParams(alpha)
     target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
-    mean, cov = _block_moments(params, n, reps, rng, _dirichlet_product, workers, block_size)
+    mean, cov = _block_moments(params, n, reps, rng, _dirichlet_product, workers)
     return _report(
         f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
         n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, z_max, family="dirichlet",
@@ -355,46 +367,37 @@ def two_point_remark_check(a: float, b: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    alphas: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
-    lambdas: tuple[float, ...] = (1.0, 3.0)
-    ns: tuple[int, ...] = (2, 5, 20)
+    """Settings of ``run_verification``.
+
+    ``alphas``, ``lambdas`` and ``ns`` narrow the fixed grid: ``None`` keeps
+    it whole, a tuple keeps only the listed values in every Monte Carlo
+    family.  A value found in no family's grid is a ``DomainError``.
+    """
+
+    alphas: tuple[float, ...] | None = None
+    lambdas: tuple[float, ...] | None = None
+    ns: tuple[int, ...] | None = None
     reps: int = 200_000
-    lukacs_alphas: tuple[float, ...] = (0.5, 1.0, 3.7)
-    lukacs_ns: tuple[int, ...] = (2, 5)
-    lukacs_reps: int = 100_000
-    dirichlet_alphas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    dirichlet_ns: tuple[int, ...] = (2, 3, 5)
-    dirichlet_reps: int = 200_000
-    ulogu_shapes: tuple[float, ...] = (0.5, 1.0, 2.0, 4.5)
-    abs2r_alphas: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
-    two_point_cases: tuple[tuple[float, float], ...] = ((1.0, 3.0), (2.0, 8.0))
-    quad_tol: float = 1e-8
     seed: int = DEFAULT_SEED
     z_max: float = 4.0
     workers: int = 1
-    block_size: int = 25_000
 
-    def restrict(self, alphas=None, lambdas=None, ns=None) -> "VerifyConfig":
-        """Subset the Monte Carlo grids; families with no surviving cells are skipped."""
-        cfg = self
-        if alphas is not None:
-            keep = tuple(a for a in cfg.alphas if a in alphas)
-            cfg = replace(
-                cfg,
-                alphas=keep,
-                lukacs_alphas=tuple(a for a in cfg.lukacs_alphas if a in alphas),
-                dirichlet_alphas=tuple(a for a in cfg.dirichlet_alphas if a in alphas),
-            )
-        if lambdas is not None:
-            cfg = replace(cfg, lambdas=tuple(v for v in cfg.lambdas if v in lambdas))
-        if ns is not None:
-            cfg = replace(
-                cfg,
-                ns=tuple(n for n in cfg.ns if n in ns),
-                lukacs_ns=tuple(n for n in cfg.lukacs_ns if n in ns),
-                dirichlet_ns=tuple(n for n in cfg.dirichlet_ns if n in ns),
-            )
-        return cfg
+    def __post_init__(self) -> None:
+        if self.reps < MIN_REPS:
+            raise DomainError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {self.reps}")
+        for name, grid in (
+            ("alphas", MC_ALPHAS + LUKACS_ALPHAS + DIRICHLET_ALPHAS),
+            ("lambdas", MC_LAMBDAS),
+            ("ns", MC_NS + LUKACS_NS + DIRICHLET_NS),
+        ):
+            for v in getattr(self, name) or ():
+                if v not in grid:
+                    valid = ", ".join(_fmt(g) for g in sorted(set(grid)))
+                    raise DomainError(f"{name}: {v!r} is in no verification grid ({valid})")
+
+
+def _keep(grid: tuple, chosen: tuple | None) -> tuple:
+    return grid if chosen is None else tuple(v for v in grid if v in chosen)
 
 
 @dataclass(frozen=True)
@@ -422,14 +425,18 @@ def _family_allowance(family: str, size: int) -> int:
 
 
 def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutcome:
-    """Run the whole default grid and apply the multiplicity policy.
+    """Run the grid, narrowed by ``config``, and apply the multiplicity policy.
 
-    The suite passes when every family of checks passes; a Monte Carlo
-    family (one estimator's grid) tolerates at most one cell beyond
-    ``z_max``, while identity, independence, and enumeration checks must
-    all pass individually.
+    Monte Carlo cells use ``config.reps`` replicates, the independence
+    checks at most ``LUKACS_MAX_REPS``.  The suite passes when every
+    family of checks passes; a Monte Carlo family (one estimator's grid)
+    tolerates at most one cell beyond ``z_max``, while identity,
+    independence, and enumeration checks must all pass individually.
     """
     cfg = config
+    alphas = _keep(MC_ALPHAS, cfg.alphas)
+    lambdas = _keep(MC_LAMBDAS, cfg.lambdas)
+    ns = _keep(MC_NS, cfg.ns)
     reports: list[McReport] = []
     slot = 0
 
@@ -442,12 +449,12 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
     mc_kinds = (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR)
     raw_means: dict[tuple, McReport] = {}
     for kind in mc_kinds:
-        for alpha in cfg.alphas:
-            for lam in cfg.lambdas:
-                for n in cfg.ns:
+        for alpha in alphas:
+            for lam in lambdas:
+                for n in ns:
                     raw, debiased = _index_reports(
                         kind, GammaParams(alpha, lam), n, cfg.reps, anchor(),
-                        cfg.z_max, cfg.workers, cfg.block_size,
+                        cfg.z_max, cfg.workers,
                     )
                     reports.append(raw)
                     raw_means[(kind, alpha, lam, n)] = raw
@@ -456,12 +463,12 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
 
     # Rate-sweep invariance of the scale-free indices: means at different
     # rates are independent runs and must agree within combined error.
-    if len(cfg.lambdas) >= 2:
-        base, *others = cfg.lambdas
+    if len(lambdas) >= 2:
+        base, *others = lambdas
         for kind in (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON):
-            for alpha in cfg.alphas:
+            for alpha in alphas:
                 for lam in others:
-                    for n in cfg.ns:
+                    for n in ns:
                         r1 = raw_means[(kind, alpha, base, n)]
                         r2 = raw_means[(kind, alpha, lam, n)]
                         se = math.hypot(r1.mc_stderr, r2.mc_stderr)
@@ -472,39 +479,38 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
                             0.0, cfg.z_max, family="lambda_sweep",
                         ))
 
-    for alpha in cfg.lukacs_alphas:
-        for n in cfg.lukacs_ns:
+    for alpha in _keep(LUKACS_ALPHAS, cfg.alphas):
+        for n in _keep(LUKACS_NS, cfg.ns):
             reports.append(lukacs_independence_check(
-                GammaParams(alpha), n, cfg.lukacs_reps, anchor(),
-                z_max=cfg.z_max, workers=cfg.workers, block_size=cfg.block_size,
+                GammaParams(alpha), n, min(cfg.reps, LUKACS_MAX_REPS), anchor(),
+                z_max=cfg.z_max, workers=cfg.workers,
             ))
 
-    for alpha in cfg.dirichlet_alphas:
-        for n in cfg.dirichlet_ns:
+    for alpha in _keep(DIRICHLET_ALPHAS, cfg.alphas):
+        for n in _keep(DIRICHLET_NS, cfg.ns):
             reports.append(dirichlet_product_moment_check(
-                alpha, n, cfg.dirichlet_reps, anchor(),
-                z_max=cfg.z_max, workers=cfg.workers, block_size=cfg.block_size,
+                alpha, n, cfg.reps, anchor(), z_max=cfg.z_max, workers=cfg.workers,
             ))
 
     # Identity checks carry the agreement tolerance as a pseudo standard
     # error (tol / z_max), so "pass iff |z| <= z_max" holds for every line.
-    quad_se = cfg.quad_tol / cfg.z_max
-    for a in cfg.ulogu_shapes:
-        for b in cfg.ulogu_shapes:
+    quad_se = QUAD_TOLERANCE / cfg.z_max
+    for a in ULOGU_SHAPES:
+        for b in ULOGU_SHAPES:
             closed, quad = beta_ulogu_check(a, b)
             reports.append(_report(
                 f"beta_ulogu[a={_fmt(a)},b={_fmt(b)}]", 0, 0, quad, quad_se,
                 closed, cfg.z_max, family="quad_identity",
             ))
 
-    for alpha in cfg.abs2r_alphas:
+    for alpha in ABS2R_ALPHAS:
         closed, quad = abs_2r_minus_1_check(alpha)
         reports.append(_report(
             f"abs_2r_minus_1[alpha={_fmt(alpha)}]", 0, 0, quad, quad_se,
             closed, cfg.z_max, family="quad_identity",
         ))
 
-    for a, b in cfg.two_point_cases:
+    for a, b in TWO_POINT_CASES:
         enumerated, population = two_point_remark_check(a, b)
         reports.append(McReport(
             f"two_point_remark[a={_fmt(a)},b={_fmt(b)}]", 2, 0, enumerated, 0.0,

@@ -59,6 +59,17 @@ class TestReadSample:
         p.write_text("1\n\n2\n\n")
         assert read_sample(str(p)).values.tolist() == [1.0, 2.0]
 
+    def test_plain_column_after_blank_line(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("\n1\n2\n3\n")
+        assert read_sample(str(p)).values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_only_blank_lines(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("\n  \n\n")
+        with pytest.raises(DataError):
+            read_sample(str(p))
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             read_sample("/nonexistent/file.txt")
@@ -126,6 +137,14 @@ class TestCompute:
         assert doc["alpha_source"] == "given"
         # raw VMR 1.0, correction factor (na+1)/na = 3/2
         assert doc["debiased"]["vmr"] == pytest.approx(1.5, rel=1e-14)
+
+    def test_debias_with_bad_alpha_is_usage_error(self, capsys, plain_file):
+        code, _, err = run_cli(
+            capsys, "compute", "--input", plain_file, "--index", "vmr",
+            "--debias", "--alpha", "-1",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("USAGE_ERROR:")
 
     def test_debias_plug_in_flagged(self, capsys, csv_file):
         code, out, _ = run_cli(
@@ -289,6 +308,13 @@ class TestVerify:
         assert lines[0].startswith("kind")
         assert len(lines) == 2 + 60  # header, rule, one line per report
         assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
+
+    @pytest.mark.parametrize("token", ["alpha=7", "lambda=2", "n=2.5"])
+    def test_value_outside_the_grid_is_usage_error(self, capsys, token):
+        code, out, err = run_cli(capsys, "verify", "--reps", "10000", "--grid", token)
+        assert code == EXIT_USAGE
+        assert err.startswith("USAGE_ERROR:")
+        assert out == ""
 
     def test_bad_grid_token(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--grid", "gamma=1")

@@ -117,6 +117,8 @@ class TestAtkinson:
         rng = np.random.default_rng(8)
         for y in rng.uniform(1e-6, 1e6, size=100):
             assert atkinson([float(y)]) == 0.0
+            assert math.copysign(1.0, atkinson([float(y)])) == 1.0
+        assert math.copysign(1.0, atkinson([4.0, 4.0])) == 1.0  # +0.0, not -0.0
 
 
 class TestVmr:

@@ -62,10 +62,8 @@ class TestBlockEngine:
             columns.append(col[:, 0])
             return col
 
-        mean, cov = _block_moments(
-            GammaParams(1.5, 2.0), 4, 23_457, RngStream(3, 0), stat, 1, 5_000
-        )
-        assert [c.size for c in columns] == [5_000] * 4 + [3_457]
+        mean, cov = _block_moments(GammaParams(1.5, 2.0), 4, 103_457, RngStream(3, 0), stat, 1)
+        assert [c.size for c in columns] == [25_000] * 4 + [3_457]
         column = np.concatenate(columns)
         assert mean[0] == pytest.approx(np.mean(column), rel=1e-12)
         assert cov[0, 0] == pytest.approx(np.var(column, ddof=1), rel=1e-12)
@@ -116,11 +114,9 @@ class TestMcExpectation:
         checks = [
             lambda w: mc_expectation(IndexKind.GINI, p, 5, 30_000, RngStream(7, 0), workers=w),
             lambda w: lukacs_independence_check(
-                GammaParams(0.5), 3, 30_000, RngStream(7, 0), workers=w, block_size=7_000
+                GammaParams(0.5), 3, 30_000, RngStream(7, 0), workers=w
             ),
-            lambda w: dirichlet_product_moment_check(
-                2.0, 3, 30_000, RngStream(7, 0), workers=w, block_size=7_000
-            ),
+            lambda w: dirichlet_product_moment_check(2.0, 3, 30_000, RngStream(7, 0), workers=w),
         ]
         for check in checks:
             runs = [check(w) for w in (1, 2, 4)]
@@ -240,13 +236,7 @@ class TestReports:
 
 class TestRunVerification:
     def test_tiny_grid_passes_and_orders_deterministically(self):
-        cfg = VerifyConfig(
-            alphas=(1.0,), lambdas=(1.0, 3.0), ns=(2,), reps=10_000,
-            lukacs_alphas=(1.0,), lukacs_ns=(2,), lukacs_reps=10_000,
-            dirichlet_alphas=(1.0,), dirichlet_ns=(2,), dirichlet_reps=10_000,
-            ulogu_shapes=(1.0,), abs2r_alphas=(1.0,),
-            two_point_cases=((1.0, 3.0),), seed=11,
-        )
+        cfg = VerifyConfig(alphas=(1.0,), ns=(2,), reps=10_000, seed=11)
         out1 = run_verification(cfg)
         out2 = run_verification(cfg)
         assert out1.passed
@@ -261,19 +251,36 @@ class TestRunVerification:
 
     def test_impossible_z_max_fails_suite(self):
         cfg = VerifyConfig(
-            alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=10_000,
-            lukacs_alphas=(), lukacs_ns=(), dirichlet_alphas=(),
-            ulogu_shapes=(), abs2r_alphas=(), two_point_cases=(),
-            seed=11, z_max=0.01,
+            alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=10_000, seed=11, z_max=0.01
         )
         out = run_verification(cfg)
         assert not out.passed
         assert out.failed_families  # at least one family over its allowance
 
-    def test_restrict_filters_grids(self):
-        cfg = VerifyConfig().restrict(alphas=[1.0], lambdas=[1.0], ns=[2])
-        assert cfg.alphas == (1.0,)
-        assert cfg.lambdas == (1.0,)
-        assert cfg.ns == (2,)
-        assert cfg.lukacs_alphas == (1.0,)
-        assert cfg.dirichlet_ns == (2,)
+    def test_filters_narrow_every_family(self):
+        cfg = VerifyConfig(alphas=(1.0, 3.7), lambdas=(3.0,), ns=(2.0, 3), reps=10_000)
+        reports = run_verification(cfg).reports
+        cell = "alpha=1,lambda=3"
+        assert [(r.kind, r.n, r.reps) for r in reports if r.reps] == [
+            (f"gini[{cell}]", 2, 10_000),
+            (f"theil[{cell}]", 2, 10_000),
+            (f"theil_debiased[{cell}]", 2, 10_000),
+            (f"atkinson[{cell}]", 2, 10_000),
+            (f"atkinson_debiased[{cell}]", 2, 10_000),
+            (f"vmr[{cell}]", 2, 10_000),
+            (f"vmr_debiased[{cell}]", 2, 10_000),
+            ("lukacs[alpha=1,lambda=1]", 2, 10_000),
+            ("lukacs[alpha=3.7,lambda=1]", 2, 10_000),
+            ("dirichlet_product_moment[alpha=1]", 2, 10_000),
+            ("dirichlet_product_moment[alpha=1]", 3, 10_000),
+        ]
+        # the quadrature and two-point families have no alpha, lambda or n grid
+        assert sum(r.reps == 0 for r in reports) == 16 + 4 + 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"alphas": (7.0,)}, {"lambdas": (2.0,)}, {"ns": (2.5,)}, {"reps": 9_999}],
+    )
+    def test_rejects_values_outside_the_grid(self, setting):
+        with pytest.raises(DomainError):
+            VerifyConfig(**setting)
