@@ -12,6 +12,12 @@ JSON (the default format) is canonical and byte-stable for a fixed
 command line; ``table`` and ``csv`` carry the same numbers rounded to
 7 significant digits.  Exit codes: 0 success/pass, 1 verification
 failure, 2 usage error, 3 data error, 4 numeric error.
+
+``main`` picks the error exit code from the exception type alone:
+``DomainError`` and ``SizeError`` are usage errors (exit 2), ``DataError``
+is a data error (exit 3) and ``NumericError`` exit 4.  Only ``compute``
+reads a data file, so it is the one command that turns the domain and
+size errors raised after reading its sample into ``DataError``.
 """
 
 from __future__ import annotations
@@ -25,18 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DomainError, GammadexError, NumericError, SizeError
+from .errors import DataError, DomainError, NumericError, SizeError
 from .gamma_forms import GammaParams, alpha_plug_in, debias, expectation, population_value
 from .indices import IndexKind, Sample, compute_index
 from .rng import RngStream
-from .verify import (
-    DEFAULT_SEED,
-    MIN_REPS,
-    VerifyConfig,
-    mc_expectation,
-    reports_to_json_obj,
-    run_verification,
-)
+from .verify import DEFAULT_SEED, VerifyConfig, mc_expectation, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -53,31 +52,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class UsageError(GammadexError):
-    pass
-
-
 def _parse_kinds(label: str) -> tuple[IndexKind, ...]:
     if label.strip().lower() == "all":
         return _ALL_KINDS
     return (IndexKind.parse(label),)
 
 
-def _params_from_flags(alpha: float, lam: float | None) -> GammaParams:
-    """Gamma parameters from CLI flags; bad flag values are usage errors."""
-    try:
-        return GammaParams(alpha, lam if lam is not None else 1.0)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def read_sample(path: str, column: str | None = None) -> Sample:
     """Load a sample from a plain column of numbers or a headered CSV.
 
     CSV mode is selected by the ``--column`` flag, or when the first
-    non-blank line holds a comma or is not a number (a lone header); the
-    default column name is ``y``.  Any missing, non-numeric, or non-positive
-    value aborts the run with the offending line number.
+    non-blank line holds a comma or is not a number (a lone header); that
+    line is the header, and the default column name is ``y``.  Any
+    missing, non-numeric, or non-positive value aborts the run with the
+    offending line number.
     """
     p = Path(path)
     try:
@@ -100,12 +88,15 @@ def read_sample(path: str, column: str | None = None) -> Sample:
     values: list[float] = []
     if is_csv:
         column = column or "y"
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        reader = csv.reader(io.StringIO(text))
+        header = next((row for row in reader if "".join(row).strip()), [])
+        if column not in header:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
+        col = header.index(column)
         for row in reader:
-            raw = (row.get(column) or "").strip()
-            values.append(_parse_value(raw, path, reader.line_num))
+            if row:
+                raw = row[col].strip() if col < len(row) else ""
+                values.append(_parse_value(raw, path, reader.line_num))
     else:
         for lineno, raw in enumerate(lines, start=1):
             raw = raw.strip()
@@ -162,20 +153,21 @@ def _emit(obj, rows: list[dict], fmt: str) -> None:
 
 def cmd_compute(args) -> int:
     kinds = _parse_kinds(args.index)
+    given = None if args.alpha is None else GammaParams(args.alpha)
     sample = read_sample(args.input, args.column)
-    indices = {k.value: compute_index(k, sample) for k in kinds}
-
-    result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
-    if args.debias:
-        if args.alpha is not None:
-            params, source = _params_from_flags(args.alpha, None), "given"
-        else:
-            params, source = GammaParams(alpha_plug_in(sample)), "plug_in"
-        result["alpha"] = params.alpha
-        result["alpha_source"] = source
-        result["debiased"] = {
-            k.value: debias(k, params, sample.n, indices[k.value]) for k in kinds
-        }
+    try:
+        indices = {k.value: compute_index(k, sample) for k in kinds}
+        result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
+        if args.debias:
+            params = given or GammaParams(alpha_plug_in(sample))
+            result["alpha"] = params.alpha
+            result["alpha_source"] = "plug_in" if given is None else "given"
+            result["debiased"] = {
+                k.value: debias(k, params, sample.n, indices[k.value]) for k in kinds
+            }
+    except (DomainError, SizeError) as exc:
+        # every flag is checked above, so the sample is at fault
+        raise DataError(str(exc)) from exc
 
     rows = [
         {
@@ -192,8 +184,8 @@ def cmd_compute(args) -> int:
 def cmd_population(args) -> int:
     kinds = _parse_kinds(args.index)
     if IndexKind.VMR in kinds and args.lam is None:
-        raise UsageError("population value of vmr needs --lambda")
-    params = _params_from_flags(args.alpha, args.lam)
+        raise DomainError("population value of vmr needs --lambda")
+    params = GammaParams(args.alpha, 1.0 if args.lam is None else args.lam)
     values = {k.value: population_value(k, params) for k in kinds}
     obj = {
         "command": "population",
@@ -208,12 +200,10 @@ def cmd_population(args) -> int:
 def cmd_expect(args) -> int:
     kinds = _parse_kinds(args.index)
     if IndexKind.VMR in kinds and args.lam is None:
-        raise UsageError("expectation of vmr needs --lambda")
-    params = _params_from_flags(args.alpha, args.lam)
+        raise DomainError("expectation of vmr needs --lambda")
+    params = GammaParams(args.alpha, 1.0 if args.lam is None else args.lam)
     results = []
     for kind in kinds:
-        if args.n < kind.min_n:
-            raise UsageError(f"{kind.value} expectation needs --n >= {kind.min_n}")
         r = expectation(kind, params, args.n)
         results.append(
             {
@@ -235,22 +225,14 @@ def cmd_expect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kind = IndexKind.parse(args.index)
-    if args.reps < MIN_REPS:
-        raise UsageError(f"--reps must be at least {MIN_REPS}, got {args.reps}")
-    if args.n < kind.min_n:
-        raise UsageError(f"{kind.value} needs --n >= {kind.min_n}")
-    params = _params_from_flags(args.alpha, args.lam)
-    try:
-        rng = RngStream(args.seed, args.stream_id)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.index is None:
+        raise DomainError("--index is required for this command")
     report = mc_expectation(
-        kind,
-        params,
+        IndexKind.parse(args.index),
+        GammaParams(args.alpha, 1.0 if args.lam is None else args.lam),
         args.n,
         args.reps,
-        rng,
+        RngStream(args.seed, args.stream_id),
         z_max=args.z_max,
         debias_values=args.debias,
         workers=args.workers,
@@ -265,37 +247,34 @@ def _parse_grid(tokens: list[str]) -> dict:
     subsets: dict = {}
     for token in tokens:
         if "=" not in token:
-            raise UsageError(f"--grid expects key=v1,v2 tokens, got {token!r}")
+            raise DomainError(f"--grid expects key=v1,v2 tokens, got {token!r}")
         key, _, raw = token.partition("=")
         key = key.strip().lower()
         if key not in ("alpha", "lambda", "n"):
-            raise UsageError(f"--grid key must be alpha, lambda, or n, got {key!r}")
+            raise DomainError(f"--grid key must be alpha, lambda, or n, got {key!r}")
         try:
             values = [float(v) for v in raw.split(",") if v]
         except ValueError:
-            raise UsageError(f"--grid values for {key} must be numbers, got {raw!r}") from None
+            raise DomainError(f"--grid values for {key} must be numbers, got {raw!r}") from None
         if not values:
-            raise UsageError(f"--grid {key} needs at least one value")
+            raise DomainError(f"--grid {key} needs at least one value")
         subsets[key] = tuple(values)
     return subsets
 
 
 def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid or [])
-    try:
-        cfg = VerifyConfig(
-            alphas=grid.get("alpha"),
-            lambdas=grid.get("lambda"),
-            ns=grid.get("n"),
-            reps=args.reps,
-            seed=args.seed,
-            z_max=args.z_max,
-            workers=args.workers,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = VerifyConfig(
+        alphas=grid.get("alpha"),
+        lambdas=grid.get("lambda"),
+        ns=grid.get("n"),
+        reps=args.reps,
+        seed=args.seed,
+        z_max=args.z_max,
+        workers=args.workers,
+    )
     outcome = run_verification(cfg)
-    rows = reports_to_json_obj(outcome.reports)
+    rows = [r.to_dict() for r in outcome.reports]
     _emit(rows, rows, args.format)
     summary = (
         f"verify: {len(outcome.reports)} checks, {outcome.n_failed} beyond z_max; "
@@ -365,17 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "index", "all") is None:
-        print("USAGE_ERROR: --index is required for this command", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"USAGE_ERROR: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, SizeError, DomainError) as exc:
+    except DataError as exc:
         print(f"DATA_ERROR: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (DomainError, SizeError) as exc:
+        print(f"USAGE_ERROR: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericError as exc:
         print(f"NUMERIC_ERROR: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

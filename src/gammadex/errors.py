@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line maps each type to one exit code, whatever raised it.
+"""
 
 
 class GammadexError(Exception):
@@ -6,16 +9,28 @@ class GammadexError(Exception):
 
 
 class DomainError(GammadexError, ValueError):
-    """An argument is outside the mathematical domain (non-positive, NaN, ...)."""
+    """An argument is outside the mathematical domain (non-positive, NaN, ...).
+
+    The command line reports it as a usage error (exit 2).
+    """
 
 
 class SizeError(GammadexError, ValueError):
-    """A sample or replicate count is too small for the requested operation."""
+    """A sample or replicate count is too small for the requested operation.
+
+    The command line reports it as a usage error (exit 2).
+    """
 
 
 class DataError(GammadexError, ValueError):
-    """An input file or data record cannot be turned into a valid sample."""
+    """An input file or data record cannot be turned into a valid sample.
+
+    The command line reports it as a data error (exit 3).
+    """
 
 
 class NumericError(GammadexError, ArithmeticError):
-    """A numerical routine failed to converge or exhausted its iteration budget."""
+    """A numerical routine failed to converge or exhausted its iteration budget.
+
+    The command line reports it as a numeric error (exit 4).
+    """

@@ -128,9 +128,5 @@ class RngStream:
         self._block += n_blocks
         return out[:count]
 
-    def uniform(self) -> float:
-        """Next single double in [0, 1)."""
-        return float(self.uniforms(1)[0])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, block={self._block})"

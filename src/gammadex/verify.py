@@ -27,7 +27,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "abs_2r_minus_1_check",
     "two_point_remark_check",
     "run_verification",
-    "reports_to_json_obj",
 ]
 
 DEFAULT_SEED = 1729
@@ -111,6 +110,8 @@ class McReport:
 
 
 def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
+    if not (math.isfinite(z_max) and z_max > 0.0):
+        raise DomainError(f"z_max must be a finite positive real, got {z_max!r}")
     mean, stderr, target = float(mean), float(stderr), float(target)
     if stderr > 0.0:
         z = (mean - target) / stderr
@@ -154,6 +155,8 @@ def _block_moments(
     block to a ``(size_b, k)`` matrix of statistic columns.  Block partials
     are merged in block order, whichever worker produced them.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
 
     def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,10 +309,8 @@ def beta_ulogu_check(a: float, b: float) -> tuple[float, float]:
     Closed form a/(a+b) * (psi(a+1) - psi(a+b+1)); quadrature integrates
     u log(u) against the beta density with adaptive Gauss-Kronrod.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta shapes must be positive, got ({a}, {b})")
-    closed = a / (a + b) * (digamma(a + 1.0) - digamma(a + b + 1.0))
     lb = log_beta(a, b)
+    closed = a / (a + b) * (digamma(a + 1.0) - digamma(a + b + 1.0))
 
     def integrand(u: np.ndarray) -> np.ndarray:
         log_u = np.log(u)
@@ -326,8 +327,6 @@ def abs_2r_minus_1_check(alpha: float) -> tuple[float, float]:
     this shape; the quadrature integrates |2r - 1| against the symmetric
     beta density, split at the kink.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
     closed = pop_gini(GammaParams(alpha))
     lb = log_beta(alpha, alpha)
 
@@ -529,7 +528,3 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
         if count > _family_allowance(fam, family_sizes[fam])
     )
     return VerificationOutcome(reports, not failed_families, failed_families)
-
-
-def reports_to_json_obj(reports: Sequence[McReport]) -> list[dict]:
-    return [r.to_dict() for r in reports]

@@ -98,6 +98,11 @@ class TestReadSample:
         with pytest.raises(DataError, match=r":4:"):
             read_sample(str(p))
 
+    def test_csv_header_after_blank_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\nid,y\n1,1\n2,3\n")
+        assert read_sample(str(p)).values.tolist() == [1.0, 3.0]
+
     def test_missing_csv_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")
@@ -166,6 +171,15 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--input", str(p))
         assert code == EXIT_DATA
         assert ":2:" in err
+
+    def test_debias_on_constant_sample_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("4\n4\n4\n")
+        code, out, err = run_cli(capsys, "compute", "--input", str(p), "--debias")
+        assert code == EXIT_DATA
+        assert err.startswith("DATA_ERROR:")
+        assert "constant sample" in err
+        assert out == ""
 
     def test_singleton_too_small_for_gini(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
@@ -273,6 +287,35 @@ class TestSimulate:
             capsys, "simulate", "--alpha", "1", "--n", "2", "--reps", "20000"
         )
         assert code == EXIT_USAGE
+
+
+SIMULATE_ARGS = ["simulate", "--alpha", "1", "--n", "2", "--reps", "10000"]
+NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "lambda=1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["population", "--alpha", "1", "--index", "foo"],
+        ["compute", "--index", "foo", "--input", "/no/such/file"],
+        ["compute", "--alpha", "-1", "--input", "/no/such/file"],
+        [*SIMULATE_ARGS, "--index", "all"],
+        [*NARROW_VERIFY_ARGS, "--seed", "-1"],
+        [*SIMULATE_ARGS, "--index", "gini", "--seed", "-1"],
+        ["population", "--index", "vmr", "--alpha", "1", "--lambda", "0"],
+        [*NARROW_VERIFY_ARGS, "--workers", "0"],
+        [*NARROW_VERIFY_ARGS, "--workers", "-3"],
+        [*SIMULATE_ARGS, "--index", "gini", "--z-max", "-1"],
+        [*SIMULATE_ARGS, "--index", "gini", "--z-max", "inf"],
+        [*NARROW_VERIFY_ARGS, "--z-max", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("USAGE_ERROR:")
+    assert out == ""
 
 
 VERIFY_ARGS = [

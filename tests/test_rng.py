@@ -84,8 +84,3 @@ def test_rejects_bad_seed(bad):
     with pytest.raises(DomainError):
         RngStream(bad)
 
-
-def test_scalar_uniform_advances():
-    r = RngStream(1, 0)
-    a, b = r.uniform(), r.uniform()
-    assert a != b

@@ -21,7 +21,6 @@ from gammadex.verify import (
     dirichlet_product_moment_check,
     lukacs_independence_check,
     mc_expectation,
-    reports_to_json_obj,
     run_verification,
     two_point_remark_check,
 )
@@ -189,6 +188,8 @@ class TestQuadratureIdentities:
         with pytest.raises(DomainError):
             beta_ulogu_check(0.0, 1.0)
         with pytest.raises(DomainError):
+            beta_ulogu_check(-1.0, 1.0)
+        with pytest.raises(DomainError):
             abs_2r_minus_1_check(-1.0)
 
 
@@ -222,16 +223,12 @@ class TestReports:
             McReport("gini[alpha=1,lambda=1]", 5, 10_000, 0.5, 0.01, 0.5, 0.0, True),
             McReport("two_point_remark[a=1,b=3]", 2, 0, 0.25, 0.0, 0.25, 0.0, True),
         ]
-        rows = reports_to_json_obj(reports)
+        rows = [r.to_dict() for r in reports]
         _emit(rows, rows, "table")
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("kind")
         assert len(lines) == 4
         assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
-
-    def test_reports_to_json_obj(self):
-        r = McReport("x", 1, 0, 0.0, 0.0, 0.0, 0.0, True)
-        assert reports_to_json_obj([r]) == [r.to_dict()]
 
 
 class TestRunVerification:
