@@ -36,7 +36,7 @@ _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
 _INV53 = 2.0**-53
 _ROUNDS = 10
-_CHUNK_BLOCKS = 1 << 17  # keep the working set cache-sized
+_CHUNK_BLOCKS = 1 << 15  # keep the working set cache-sized
 
 _U64_MAX = (1 << 64) - 1
 

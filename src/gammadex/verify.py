@@ -18,12 +18,15 @@ values, rate-sweep invariance for the scale-free indices, the
 proportion-sum independence correlations, the Dirichlet product moment,
 the two beta-integral identities, and the two-point discrete example.
 ``VerifyConfig`` can only narrow the Monte Carlo grids to some of their
-alpha, lambda and n values.
+alpha, lambda and n values.  Each (alpha, lambda, n) cell of the index
+grid has one anchor stream, and the four estimators are four statistic
+columns of the same blocks: they share every draw of the cell.  Cells at
+different rates never share a stream, or the scale-free indices would
+agree exactly across rates and the rate sweep would test nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -68,6 +71,7 @@ _STREAM_STRIDE = 1 << 32
 _BLOCK_SIZE = 25_000
 
 # The verification grid of every check family.
+MC_KINDS = (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR)
 MC_ALPHAS = (0.5, 1.0, 2.0, 5.0)
 MC_LAMBDAS = (1.0, 3.0)
 MC_NS = (2, 5, 20)
@@ -109,9 +113,13 @@ class McReport:
         }
 
 
-def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
+def _require_z_max(z_max: float) -> None:
     if not (math.isfinite(z_max) and z_max > 0.0):
         raise DomainError(f"z_max must be a finite positive real, got {z_max!r}")
+
+
+def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
+    _require_z_max(z_max)
     mean, stderr, target = float(mean), float(stderr), float(target)
     if stderr > 0.0:
         z = (mean - target) / stderr
@@ -158,6 +166,7 @@ def _block_moments(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
+    workers = min(workers, len(sizes))
 
     def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
         y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n)
@@ -166,7 +175,7 @@ def _block_moments(
         dev = x - mean
         return mean, np.einsum("ij,ik->jk", dev, dev)
 
-    if workers <= 1:
+    if workers == 1:
         partials = map(one_block, range(len(sizes)))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -182,30 +191,36 @@ def _block_moments(
 
 
 def _index_reports(
-    kind: IndexKind,
+    kinds: tuple[IndexKind, ...],
     params: GammaParams,
     n: int,
     reps: int,
     rng: RngStream,
     z_max: float,
     workers: int,
-) -> tuple[McReport, McReport]:
-    """(raw, debiased) reports of one estimator from one simulation.
+) -> list[tuple[McReport, McReport]]:
+    """(raw, debiased) reports of each estimator in ``kinds`` from one simulation.
 
-    The debias map is affine in the raw value, so the debiased mean and
-    standard error follow from the raw ones.
+    Every estimator is one statistic column of the same blocks.  The debias
+    map is affine in the raw value, so the debiased mean and standard error
+    follow from the raw ones.
     """
-    stat = functools.partial(index_values, kind)
-    mean, cov = _block_moments(params, n, reps, rng, stat, workers)
-    mean, se = float(mean[0]), math.sqrt(cov[0, 0] / reps)
-    intercept, slope = _debias_affine(kind, params, n)
+    def stat(y: np.ndarray) -> np.ndarray:
+        return np.hstack([index_values(kind, y) for kind in kinds])
+
+    means, cov = _block_moments(params, n, reps, rng, stat, workers)
     cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
-    raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
-                  expectation(kind, params, n).expectation, z_max, family=f"mc:{kind.value}")
-    debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps, intercept + slope * mean,
-                       abs(slope) * se, population_value(kind, params), z_max,
-                       family=f"debiased:{kind.value}")
-    return raw, debiased
+    pairs = []
+    for j, kind in enumerate(kinds):
+        mean, se = float(means[j]), math.sqrt(cov[j, j] / reps)
+        intercept, slope = _debias_affine(kind, params, n)
+        raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
+                      expectation(kind, params, n).expectation, z_max, family=f"mc:{kind.value}")
+        debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps, intercept + slope * mean,
+                           abs(slope) * se, population_value(kind, params), z_max,
+                           family=f"debiased:{kind.value}")
+        pairs.append((raw, debiased))
+    return pairs
 
 
 def mc_expectation(
@@ -229,7 +244,7 @@ def mc_expectation(
     n = int(n)
     if n < kind.min_n:
         raise SizeError(f"{kind.value} needs n >= {kind.min_n}, got {n}")
-    raw, debiased = _index_reports(kind, params, n, reps, rng, z_max, workers)
+    [(raw, debiased)] = _index_reports((kind,), params, n, reps, rng, z_max, workers)
     return debiased if debias_values else raw
 
 
@@ -382,6 +397,7 @@ class VerifyConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _require_z_max(self.z_max)
         if self.reps < MIN_REPS:
             raise DomainError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {self.reps}")
         for name, grid in (
@@ -445,20 +461,22 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
         slot += 1
         return stream
 
-    mc_kinds = (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR)
-    raw_means: dict[tuple, McReport] = {}
-    for kind in mc_kinds:
-        for alpha in alphas:
-            for lam in lambdas:
-                for n in ns:
-                    raw, debiased = _index_reports(
-                        kind, GammaParams(alpha, lam), n, cfg.reps, anchor(),
-                        cfg.z_max, cfg.workers,
-                    )
-                    reports.append(raw)
-                    raw_means[(kind, alpha, lam, n)] = raw
-                    if kind is not IndexKind.GINI:
-                        reports.append(debiased)
+    # One anchor per (alpha, lambda, n) cell, shared by the four estimators;
+    # lines are emitted estimator by estimator.
+    cells = [(alpha, lam, n) for alpha in alphas for lam in lambdas for n in ns]
+    cell_reports: dict[tuple, tuple[McReport, McReport]] = {}
+    for alpha, lam, n in cells:
+        pairs = _index_reports(
+            MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, anchor(), cfg.z_max, cfg.workers,
+        )
+        for kind, pair in zip(MC_KINDS, pairs):
+            cell_reports[(kind, alpha, lam, n)] = pair
+    for kind in MC_KINDS:
+        for cell in cells:
+            raw, debiased = cell_reports[(kind, *cell)]
+            reports.append(raw)
+            if kind is not IndexKind.GINI:
+                reports.append(debiased)
 
     # Rate-sweep invariance of the scale-free indices: means at different
     # rates are independent runs and must agree within combined error.
@@ -468,8 +486,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
             for alpha in alphas:
                 for lam in others:
                     for n in ns:
-                        r1 = raw_means[(kind, alpha, base, n)]
-                        r2 = raw_means[(kind, alpha, lam, n)]
+                        r1 = cell_reports[(kind, alpha, base, n)][0]
+                        r2 = cell_reports[(kind, alpha, lam, n)][0]
                         se = math.hypot(r1.mc_stderr, r2.mc_stderr)
                         reports.append(_report(
                             f"lambda_sweep:{kind.value}[alpha={_fmt(alpha)},"

@@ -308,6 +308,8 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         [*SIMULATE_ARGS, "--index", "gini", "--z-max", "-1"],
         [*SIMULATE_ARGS, "--index", "gini", "--z-max", "inf"],
         [*NARROW_VERIFY_ARGS, "--z-max", "inf"],
+        ["verify", "--z-max", "0", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
+        ["verify", "--z-max", "nan", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
     ],
     ids=" ".join,
 )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gammadex import rng
 from gammadex.errors import DomainError
 from gammadex.rng import RngStream, philox4x32_10
 
@@ -50,6 +51,21 @@ def test_chunked_requests_replay_the_same_stream():
     r = RngStream(5, 0)
     parts = np.concatenate([r.uniforms(1024) for _ in range(4)])
     assert np.array_equal(whole, parts)
+
+
+def _whole_and_split() -> tuple[np.ndarray, np.ndarray]:
+    whole = RngStream(5, 3).uniforms(1001)
+    r = RngStream(5, 3)
+    return whole, np.concatenate([r.uniforms(3), r.uniforms(998)])
+
+
+def test_chunk_size_changes_no_bits(monkeypatch):
+    """1001 uniforms fit one default chunk and span 72 chunks of 7 blocks."""
+    whole, split = _whole_and_split()
+    monkeypatch.setattr(rng, "_CHUNK_BLOCKS", 7)
+    chunked_whole, chunked_split = _whole_and_split()
+    assert np.array_equal(chunked_whole, whole)
+    assert np.array_equal(chunked_split, split)
 
 
 def test_distinct_streams_differ():

@@ -14,6 +14,7 @@ from gammadex.rng import RngStream
 from gammadex.verify import (
     McReport,
     VerifyConfig,
+    _STREAM_STRIDE,
     _block_moments,
     _debias_affine,
     abs_2r_minus_1_check,
@@ -273,6 +274,25 @@ class TestRunVerification:
         ]
         # the quadrature and two-point families have no alpha, lambda or n grid
         assert sum(r.reps == 0 for r in reports) == 16 + 4 + 2
+
+    def test_cell_shares_one_stream_across_kinds(self):
+        cfg = VerifyConfig(alphas=(1.0,), ns=(2, 5), reps=10_000)
+        reports = {r.kind + f"@{r.n}": r for r in run_verification(cfg).reports}
+        cells = [(1.0, lam, n) for lam in (1.0, 3.0) for n in (2, 5)]
+        for k, (alpha, lam, n) in enumerate(cells):
+            for kind in IndexKind:
+                alone = mc_expectation(
+                    kind, GammaParams(alpha, lam), n, 10_000,
+                    RngStream(cfg.seed, k * _STREAM_STRIDE),
+                )
+                shared = reports[f"{kind.value}[alpha=1,lambda={lam:g}]@{n}"]
+                assert shared.mc_mean == pytest.approx(alone.mc_mean, rel=1e-12)
+        # the independence checks take the slots after the Monte Carlo cells
+        lukacs = reports["lukacs[alpha=1,lambda=1]@2"]
+        alone = lukacs_independence_check(
+            GammaParams(1.0), 2, 10_000, RngStream(cfg.seed, len(cells) * _STREAM_STRIDE)
+        )
+        assert lukacs == alone
 
     @pytest.mark.parametrize(
         "setting",
