@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, SizeError
 from .indices import IndexKind, Sample, SampleLike, as_sample, vmr as _sample_vmr
-from .special import digamma, log_gamma
+from .special import _require_positive, digamma, log_gamma
 
 __all__ = [
     "GammaParams",
@@ -56,10 +56,7 @@ class GammaParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "rate"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be a finite positive real, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _require_positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,13 @@ def population_value(kind: IndexKind, params: GammaParams) -> float:
     return _POP_DISPATCH[kind](params)
 
 
-def _require_n(n: int, kind: IndexKind) -> int:
+def _require_n(n: int, minimum: int, what: str) -> int:
+    """Sample size ``n`` as an int; it must be a whole number and at least ``minimum``."""
+    if not (isinstance(n, int) or float(n).is_integer()):
+        raise DomainError(f"{what} needs a whole number n, got {n!r}")
     n = int(n)
-    if n < kind.min_n:
-        raise SizeError(f"{kind.value} expectation needs n >= {kind.min_n}, got {n}")
+    if n < minimum:
+        raise SizeError(f"{what} needs n >= {minimum}, got {n}")
     return n
 
 
@@ -129,14 +129,14 @@ def _log_gamma_power_ratio(a: float, n: int) -> float:
 
 def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
     """E[G_n] for n >= 2; equals the population value (unbiased)."""
-    n = _require_n(n, IndexKind.GINI)
+    n = _require_n(n, IndexKind.GINI.min_n, "gini expectation")
     g = pop_gini(params)
     return ExpectationResult(IndexKind.GINI, n, g, g)
 
 
 def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
     """E[T_n] for n >= 1; exactly zero at n = 1 (the formula telescopes)."""
-    n = _require_n(n, IndexKind.THEIL_T)
+    n = _require_n(n, IndexKind.THEIL_T.min_n, "theil expectation")
     a = params.alpha
     if n == 1:
         e = 0.0
@@ -147,7 +147,7 @@ def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
 
 def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
     """E[A_n] for n >= 1; exactly zero at n = 1 (Gamma(a+1) = a Gamma(a))."""
-    n = _require_n(n, IndexKind.ATKINSON)
+    n = _require_n(n, IndexKind.ATKINSON.min_n, "atkinson expectation")
     a = params.alpha
     if n == 1:
         e = 0.0
@@ -158,7 +158,7 @@ def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
 
 def expect_vmr(params: GammaParams, n: int) -> ExpectationResult:
     """E[VMR_n] for n >= 2; always below 1/rate (downward bias)."""
-    n = _require_n(n, IndexKind.VMR)
+    n = _require_n(n, IndexKind.VMR.min_n, "vmr expectation")
     na = n * params.alpha
     e = na / ((na + 1.0) * params.rate)
     return ExpectationResult(IndexKind.VMR, n, e, pop_vmr(params))
@@ -185,7 +185,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     (na + 1)/(na).  All corrections assume the shape is known (or plugged
     in); the rate cancels out of every one of them.
     """
-    n = _require_n(n, kind)
+    n = _require_n(n, kind.min_n, "debias")
     a = params.alpha
     raw = float(raw)
     if kind is IndexKind.GINI:

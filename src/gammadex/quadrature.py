@@ -56,6 +56,11 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:3], _WG[3:][::-1], _WG[2::-1]])
 
 
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_INTERVALS = 5000
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -84,16 +89,13 @@ def integrate(
     a: float,
     b: float,
     *,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-    max_intervals: int = 5000,
     points: Sequence[float] = (),
 ) -> QuadResult:
     """Integral of the vectorized ``f`` over [a, b].
 
     ``points`` lists interior break points (known kinks) at which the
     initial partition is split.  Raises ``NumericError`` when the error
-    bound still exceeds the tolerance at ``max_intervals``.
+    bound still exceeds the tolerance at ``_MAX_INTERVALS`` subintervals.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
@@ -111,9 +113,9 @@ def integrate(
     while True:
         total = math.fsum([item[4] for item in heap] + [v for v, _ in frozen])
         total_err = math.fsum([-item[0] for item in heap] + [e for _, e in frozen])
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
             return QuadResult(total, total_err, len(heap) + len(frozen))
-        if not heap or len(heap) + len(frozen) >= max_intervals:
+        if not heap or len(heap) + len(frozen) >= _MAX_INTERVALS:
             raise NumericError(
                 f"quadrature did not converge: error {total_err:.3e} with "
                 f"{len(heap) + len(frozen)} intervals on [{a}, {b}]"

@@ -66,15 +66,18 @@ def _round_keys(key0: int, key1: int) -> list[tuple[np.uint64, np.uint64]]:
     ]
 
 
+def _require_u64(v: int, name: str) -> int:
+    if not isinstance(v, int) or not 0 <= v <= _U64_MAX:
+        raise DomainError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+    return v
+
+
 class RngStream:
     """One deterministic uniform stream identified by (seed, stream_id)."""
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        for name, v in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(v, int) or not 0 <= v <= _U64_MAX:
-                raise DomainError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
-        self.seed = seed
-        self.stream_id = stream_id
+        self.seed = _require_u64(seed, "seed")
+        self.stream_id = _require_u64(stream_id, "stream_id")
         self._round_keys = _round_keys(seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
         self._block = 0
 
@@ -83,7 +86,11 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id + offset) & _U64_MAX)
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` doubles in [0, 1), advancing the stream."""
+        """``count`` doubles in [0, 1) from the next ``(count + 1) // 2`` whole blocks.
+
+        An odd ``count`` leaves its last block's second double unused, so
+        ``uniforms(3)`` then ``uniforms(998)`` skip value 3 of ``uniforms(1002)``.
+        """
         count = int(count)
         if count < 0:
             raise DomainError(f"count must be non-negative, got {count}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, SizeError
-from .gamma_forms import GammaParams
+from .gamma_forms import GammaParams, _require_n
 from .rng import RngStream
 
 __all__ = [
@@ -132,9 +132,7 @@ def dirichlet_variates(rng: RngStream, alpha: float, n: int, size: int) -> np.nd
     Rows are normalized i.i.d. gamma vectors: entries in (0, 1), each row
     summing to one up to rounding.
     """
-    n = int(n)
-    if n < 2:
-        raise SizeError(f"dirichlet dimension must be at least 2, got {n}")
+    n = _require_n(n, 2, "dirichlet dimension")
     g = gamma_variates(rng, GammaParams(alpha), int(size) * n).reshape(int(size), n)
     return g / g.sum(axis=1, keepdims=True)
 

@@ -38,6 +38,7 @@ from .errors import DomainError, SizeError
 from .gamma_forms import (
     GammaParams,
     _log_gamma_power_ratio,
+    _require_n,
     debias,
     expectation,
     pop_gini,
@@ -45,9 +46,9 @@ from .gamma_forms import (
 )
 from .indices import IndexKind, gini, index_values, row_sums
 from .quadrature import integrate
-from .rng import RngStream
+from .rng import RngStream, _require_u64
 from .sampling import gamma_variates
-from .special import digamma, log_beta
+from .special import _require_positive, digamma, log_beta
 
 __all__ = [
     "McReport",
@@ -113,13 +114,18 @@ class McReport:
         }
 
 
-def _require_z_max(z_max: float) -> None:
-    if not (math.isfinite(z_max) and z_max > 0.0):
-        raise DomainError(f"z_max must be a finite positive real, got {z_max!r}")
+def _require_run(reps: int, z_max: float, workers: int) -> int:
+    """``reps`` as an int, once every Monte Carlo run setting is checked."""
+    reps = int(reps)
+    if reps < MIN_REPS:
+        raise SizeError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {reps}")
+    _require_positive(z_max, "z_max")
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    return reps
 
 
 def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
-    _require_z_max(z_max)
     mean, stderr, target = float(mean), float(stderr), float(target)
     if stderr > 0.0:
         z = (mean - target) / stderr
@@ -132,13 +138,6 @@ def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
 
 def _fmt(v: float) -> str:
     return f"{float(v):g}"
-
-
-def _require_reps(reps: int) -> int:
-    reps = int(reps)
-    if reps < MIN_REPS:
-        raise SizeError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {reps}")
-    return reps
 
 
 def _debias_affine(kind: IndexKind, params: GammaParams, n: int) -> tuple[float, float]:
@@ -163,8 +162,6 @@ def _block_moments(
     block to a ``(size_b, k)`` matrix of statistic columns.  Block partials
     are merged in block order, whichever worker produced them.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
     sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
     workers = min(workers, len(sizes))
 
@@ -240,10 +237,8 @@ def mc_expectation(
     the mean is compared against the population value instead of the
     finite-sample expectation.
     """
-    reps = _require_reps(reps)
-    n = int(n)
-    if n < kind.min_n:
-        raise SizeError(f"{kind.value} needs n >= {kind.min_n}, got {n}")
+    reps = _require_run(reps, z_max, workers)
+    n = _require_n(n, kind.min_n, kind.value)
     [(raw, debiased)] = _index_reports((kind,), params, n, reps, rng, z_max, workers)
     return debiased if debias_values else raw
 
@@ -272,10 +267,8 @@ def lukacs_independence_check(
     normalized magnitude and passes only if both are within
     ``z_max / sqrt(reps)``.
     """
-    reps = _require_reps(reps)
-    n = int(n)
-    if n < 2:
-        raise SizeError(f"independence check needs n >= 2, got {n}")
+    reps = _require_run(reps, z_max, workers)
+    n = _require_n(n, 2, "independence check")
     _, cov = _block_moments(params, n, reps, rng, _lukacs_columns, workers)
     corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
     worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
@@ -305,10 +298,8 @@ def dirichlet_product_moment_check(
     product moment of the Dirichlet vector obtained by normalizing n
     i.i.d. gamma variates.
     """
-    reps = _require_reps(reps)
-    n = int(n)
-    if n < 2:
-        raise SizeError(f"product moment check needs n >= 2, got {n}")
+    reps = _require_run(reps, z_max, workers)
+    n = _require_n(n, 2, "product moment check")
     params = GammaParams(alpha)
     target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
     mean, cov = _block_moments(params, n, reps, rng, _dirichlet_product, workers)
@@ -331,7 +322,7 @@ def beta_ulogu_check(a: float, b: float) -> tuple[float, float]:
         log_u = np.log(u)
         return log_u * np.exp(a * log_u + (b - 1.0) * np.log1p(-u) - lb)
 
-    quad = integrate(integrand, 0.0, 1.0, abs_tol=1e-10, rel_tol=1e-10).value
+    quad = integrate(integrand, 0.0, 1.0).value
     return closed, quad
 
 
@@ -350,7 +341,7 @@ def abs_2r_minus_1_check(alpha: float) -> tuple[float, float]:
             (alpha - 1.0) * (np.log(u) + np.log1p(-u)) - lb
         )
 
-    quad = integrate(integrand, 0.0, 1.0, abs_tol=1e-10, rel_tol=1e-10, points=(0.5,)).value
+    quad = integrate(integrand, 0.0, 1.0, points=(0.5,)).value
     return closed, quad
 
 
@@ -381,11 +372,13 @@ def two_point_remark_check(a: float, b: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Settings of ``run_verification``.
+    """Settings of ``run_verification``, every one checked at construction.
 
-    ``alphas``, ``lambdas`` and ``ns`` narrow the fixed grid: ``None`` keeps
-    it whole, a tuple keeps only the listed values in every Monte Carlo
-    family.  A value found in no family's grid is a ``DomainError``.
+    A bad ``reps``, ``seed``, ``z_max`` or ``workers`` fails here, before
+    anything is drawn, whatever the grid.  ``alphas``, ``lambdas`` and ``ns``
+    narrow the fixed grid: ``None`` keeps it whole, a tuple keeps only the
+    listed values in every Monte Carlo family.  A value found in no family's
+    grid is a ``DomainError``.
     """
 
     alphas: tuple[float, ...] | None = None
@@ -397,9 +390,8 @@ class VerifyConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _require_z_max(self.z_max)
-        if self.reps < MIN_REPS:
-            raise DomainError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {self.reps}")
+        _require_run(self.reps, self.z_max, self.workers)
+        _require_u64(self.seed, "seed")
         for name, grid in (
             ("alphas", MC_ALPHAS + LUKACS_ALPHAS + DIRICHLET_ALPHAS),
             ("lambdas", MC_LAMBDAS),

@@ -310,6 +310,8 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         [*NARROW_VERIFY_ARGS, "--z-max", "inf"],
         ["verify", "--z-max", "0", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
         ["verify", "--z-max", "nan", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
+        ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--workers", "0"],
+        ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--seed", "-1"],
     ],
     ids=" ".join,
 )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gammadex import quadrature
 from gammadex.errors import DomainError, NumericError
 from gammadex.quadrature import integrate
 from gammadex.special import log_beta
@@ -48,9 +49,11 @@ def test_interval_count_reported():
     assert r.error_bound >= 0.0
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    """u**-0.5 needs 52 intervals at the default tolerance."""
+    monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 20)
     with pytest.raises(NumericError):
-        integrate(lambda u: u**-0.5, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15, max_intervals=20)
+        integrate(lambda u: u**-0.5, 0.0, 1.0)
 
 
 def test_invalid_interval():

@@ -68,6 +68,14 @@ def test_chunk_size_changes_no_bits(monkeypatch):
     assert np.array_equal(chunked_split, split)
 
 
+def test_odd_request_leaves_the_rest_of_its_block():
+    """A call takes whole blocks, so an odd count drops its last block's second double."""
+    whole = RngStream(5, 3).uniforms(1002)
+    r = RngStream(5, 3)
+    assert np.array_equal(r.uniforms(3), whole[:3])
+    assert np.array_equal(r.uniforms(998), whole[4:1002])
+
+
 def test_distinct_streams_differ():
     base = RngStream(123, 0).uniforms(1000)
     assert not np.array_equal(RngStream(123, 1).uniforms(1000), base)

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from gammadex import verify
 from gammadex.cli import _emit
 from gammadex.errors import DomainError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
 from gammadex.indices import IndexKind, atkinson, gini, index_values, theil_t, vmr
 from gammadex.rng import RngStream
+from gammadex.sampling import dirichlet_variates
 from gammadex.verify import (
     McReport,
     VerifyConfig,
@@ -129,6 +131,37 @@ class TestMcExpectation:
     def test_rejects_small_n(self):
         with pytest.raises(SizeError):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 1, 20_000, RngStream(1))
+
+    def test_rejects_bad_z_max_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples before checking z_max")
+
+        monkeypatch.setattr(verify, "gamma_variates", no_draws)
+        with pytest.raises(DomainError):
+            mc_expectation(
+                IndexKind.GINI, GammaParams(1.0), 5, 1_000_000, RngStream(1), z_max=-1.0
+            )
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: expectation(IndexKind.THEIL_T, GammaParams(1.0), n),
+        lambda n: debias(IndexKind.VMR, GammaParams(1.0), n, 0.5),
+        lambda n: mc_expectation(IndexKind.GINI, GammaParams(1.0), n, 10_000, RngStream(1)),
+        lambda n: lukacs_independence_check(GammaParams(1.0), n, 10_000, RngStream(1)),
+        lambda n: dirichlet_product_moment_check(1.0, n, 10_000, RngStream(1)),
+        lambda n: dirichlet_variates(RngStream(1), 1.0, n, 10),
+    ],
+    ids=[
+        "expectation", "debias", "mc_expectation", "lukacs", "dirichlet_check",
+        "dirichlet_variates",
+    ],
+)
+def test_non_whole_n_is_a_domain_error(call, n):
+    with pytest.raises(DomainError, match="whole number n"):
+        call(n)
 
 
 class TestLukacs:
@@ -296,8 +329,20 @@ class TestRunVerification:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"alphas": (7.0,)}, {"lambdas": (2.0,)}, {"ns": (2.5,)}, {"reps": 9_999}],
+        [{"alphas": (7.0,)}, {"lambdas": (2.0,)}, {"ns": (2.5,)}],
     )
     def test_rejects_values_outside_the_grid(self, setting):
+        with pytest.raises(DomainError):
+            VerifyConfig(**setting)
+
+    def test_rejects_too_few_reps(self):
+        """The same SizeError as the Monte Carlo checks raise."""
+        with pytest.raises(SizeError, match="reps >= 10000"):
+            VerifyConfig(reps=9_999)
+
+    @pytest.mark.parametrize(
+        "setting", [{"workers": 0}, {"seed": -1}], ids=["workers=0", "seed=-1"]
+    )
+    def test_rejects_bad_run_settings(self, setting):
         with pytest.raises(DomainError):
             VerifyConfig(**setting)
