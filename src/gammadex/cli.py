@@ -26,6 +26,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -61,17 +63,15 @@ def _parse_kinds(label: str) -> tuple[IndexKind, ...]:
 def read_sample(path: str, column: str | None = None) -> Sample:
     """Load a sample from a plain column of numbers or a headered CSV.
 
-    CSV mode is selected by the ``--column`` flag, or when the first
-    non-blank line holds a comma or is not a number (a lone header); that
-    line is the header, and the default column name is ``y``.  Any
-    missing, non-numeric, or non-positive value aborts the run with the
-    offending line number.
+    The file is read as UTF-8, and a leading byte-order mark (Excel's "CSV
+    UTF-8") is dropped.  CSV mode is selected by the ``--column`` flag, or
+    when the first non-blank line holds a comma or is not a number (a lone
+    header); that line is the header, and the default column name is ``y``.
+    Bytes that are not UTF-8, or a missing, non-numeric, non-finite or
+    non-positive value, abort the run with a ``DataError`` that names the
+    first bad physical line.
     """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read input file {path!r}: {exc}") from exc
+    text = _read_text(path)
     lines = text.splitlines()
     first = next((line.strip() for line in lines if line.strip()), None)
     if first is None:
@@ -85,39 +85,75 @@ def read_sample(path: str, column: str | None = None) -> Sample:
             return False
 
     is_csv = column is not None or "," in first or not _is_number(first)
-    values: list[float] = []
     if is_csv:
         column = column or "y"
-        reader = csv.reader(io.StringIO(text))
-        header = next((row for row in reader if "".join(row).strip()), [])
+        reader, header = _csv_reader(text)
         if column not in header:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
         col = header.index(column)
-        for row in reader:
-            if row:
-                raw = row[col].strip() if col < len(row) else ""
-                values.append(_parse_value(raw, path, reader.line_num))
-    else:
-        for lineno, raw in enumerate(lines, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            values.append(_parse_value(raw, path, lineno))
-    if not values:
-        raise DataError(f"input file {path!r} contains no values")
-    return Sample(np.array(values))
-
-
-def _parse_value(raw: str, path: str, lineno: int) -> float:
+    # Valid data costs one float() per value: float() ignores surrounding
+    # whitespace, and Sample checks that the values are finite and positive
+    # (its DomainError is a ValueError).  Only a bad file is read again, line
+    # by line, to find the first bad value.
     try:
-        value = float(raw)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: not a number: {raw!r}") from None
-    if not np.isfinite(value):
-        raise DataError(f"{path}:{lineno}: non-finite value {raw!r}")
-    if value <= 0.0:
-        raise DataError(f"{path}:{lineno}: values must be strictly positive, got {raw}")
-    return value
+        if is_csv:
+            values = [float(row[col]) for row in reader if row]
+        else:
+            values = [float(raw) for raw in lines if raw and not raw.isspace()]
+        if values:
+            return Sample(np.array(values))
+    except (ValueError, IndexError):
+        if is_csv:
+            reader, _ = _csv_reader(text)
+            cells = ((reader.line_num, row[col] if col < len(row) else "")
+                     for row in reader if row)
+        else:
+            cells = ((lineno, raw) for lineno, raw in enumerate(lines, start=1) if raw.strip())
+        _raise_first_bad_value(cells, path)
+        raise
+    raise DataError(f"input file {path!r} contains no values")
+
+
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8, without a leading byte-order mark."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path!r}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(re.split(rb"\r\n|\r|\n", data[: exc.start]))
+        raise DataError(
+            f"{path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
+def _csv_reader(text: str):
+    """A CSV reader over ``text`` and its header, the first non-blank row.
+
+    ``newline=None`` reads ``\\r\\n`` and ``\\r`` line ends as ``\\n``, so
+    ``reader.line_num`` counts physical lines whatever their ends.
+    """
+    reader = csv.reader(io.StringIO(text, newline=None))
+    return reader, next((row for row in reader if "".join(row).strip()), [])
+
+
+def _raise_first_bad_value(cells, path: str) -> None:
+    """Raise the ``DataError`` of the first bad value among ``(line, text)`` cells."""
+    for lineno, raw in cells:
+        raw = raw.strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {raw!r}") from None
+        if value <= 0.0:
+            raise DataError(
+                f"{path}:{lineno}: values must be strictly positive, got {raw}"
+            ) from None
 
 
 def _fmt_cell(v) -> str:

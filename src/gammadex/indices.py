@@ -9,11 +9,12 @@ observations:
 * variance-to-mean ratio (unbiased sample variance over the mean).
 
 Each index is defined once, as a function of the last axis of an array
-and of a row-sum reducer.  The one-sample API passes ``math.fsum``, so
-sums that feed ratios are compensated and the O(n log n) Gini path and
-the brute-force pairwise oracle agree to ~1e-15 even for large samples;
-Monte Carlo blocks pass ``row_sums`` and get one value per row of a 2-D
-array from the same formulas.
+and of a row-sum reducer.  The one-sample API passes ``fsum``, which is
+``math.fsum`` over the array's values as a Python list, so sums that feed
+ratios are correctly rounded and the O(n log n) Gini path and the
+brute-force pairwise oracle agree to ~1e-15 even for large samples; Monte
+Carlo blocks pass ``row_sums`` and get one value per row of a 2-D array
+from the same formulas.
 """
 
 from __future__ import annotations
@@ -44,12 +45,22 @@ __all__ = [
 
 
 class IndexKind(enum.Enum):
-    """Selector over the four supported indices."""
+    """Selector over the four supported indices.
 
-    GINI = "gini"
-    THEIL_T = "theil"
-    ATKINSON = "atkinson"
-    VMR = "vmr"
+    The value is the index's name; ``min_n`` is the smallest sample it is
+    defined for, fixed once per member.
+    """
+
+    GINI = ("gini", 2)
+    THEIL_T = ("theil", 1)
+    ATKINSON = ("atkinson", 1)
+    VMR = ("vmr", 2)
+
+    def __new__(cls, label: str, min_n: int) -> "IndexKind":
+        member = object.__new__(cls)
+        member._value_ = label
+        member.min_n = min_n
+        return member
 
     @classmethod
     def parse(cls, label: str) -> "IndexKind":
@@ -58,10 +69,6 @@ class IndexKind(enum.Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise DomainError(f"unknown index kind {label!r} (expected one of {valid})") from None
-
-    @property
-    def min_n(self) -> int:
-        return 2 if self in (IndexKind.GINI, IndexKind.VMR) else 1
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ class Sample:
 
     @property
     def total(self) -> float:
-        return math.fsum(self.values)
+        return fsum(self.values)
 
     @property
     def mean(self) -> float:
@@ -140,11 +147,20 @@ def gini_pairwise(values: SampleLike) -> float:
 
 # ---------------------------------------------------------------------------
 # One definition per index.  ``y`` holds samples along its last axis and
-# ``reduce`` sums over that axis: ``math.fsum`` for one sample, ``row_sums``
-# for a block of samples (one per row).
+# ``reduce`` sums over that axis: ``fsum`` for one sample, ``row_sums`` for
+# a block of samples (one per row).
 # ---------------------------------------------------------------------------
 
 Reducer = Callable[[np.ndarray], "float | np.ndarray"]
+
+
+def fsum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D array, exactly ``math.fsum(x)``.
+
+    ``tolist`` hands ``math.fsum`` the same doubles as Python floats, which
+    it reads faster than numpy scalars boxed one element at a time.
+    """
+    return math.fsum(x.tolist())
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -198,7 +214,7 @@ def compute_index(kind: IndexKind, values: SampleLike) -> float:
     """Evaluate one index selected by kind, with compensated sums."""
     s = as_sample(values)
     _require_n(s, kind.min_n, kind.value)
-    return float(index_values(kind, s.values, math.fsum))
+    return float(index_values(kind, s.values, fsum))
 
 
 def gini_sorted(values: SampleLike) -> float:

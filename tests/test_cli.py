@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammadex.cli import (
     EXIT_DATA,
@@ -15,6 +18,7 @@ from gammadex.cli import (
     read_sample,
 )
 from gammadex.errors import DataError
+from gammadex.indices import Sample
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +113,136 @@ class TestReadSample:
         with pytest.raises(DataError, match="no column named"):
             read_sample(str(p))
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"id,y\n1,2\n2,\xe93\n")
+        with pytest.raises(DataError, match=r"latin1\.csv:3: not UTF-8 text: byte 0xe9"):
+            read_sample(str(p))
+
+    def test_plain_column_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes("\ufeff1.5\n2.5\n".encode("utf-8"))
+        assert read_sample(str(p)).values.tolist() == [1.5, 2.5]
+
+    def test_csv_first_header_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("\ufeffid,y\n3,1\n4,2\n".encode("utf-8"))
+        assert read_sample(str(p), column="id").values.tolist() == [3.0, 4.0]
+
+
+def _line_by_line_read_sample(path: str, column: str | None = None) -> Sample:
+    """The reader before its fast path: every value checked on its own line.
+
+    Kept as the oracle for ``read_sample``, with its decoding (UTF-8 without
+    a byte-order mark) brought in line.
+    """
+    text = Path(path).read_text(encoding="utf-8-sig")
+    lines = text.splitlines()
+    first = next((line.strip() for line in lines if line.strip()), None)
+    if first is None:
+        raise DataError(f"input file {path!r} is empty")
+
+    def _is_number(token: str) -> bool:
+        try:
+            float(token)
+            return True
+        except ValueError:
+            return False
+
+    def _parse_value(raw: str, lineno: int) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: not a number: {raw!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {raw!r}")
+        if value <= 0.0:
+            raise DataError(f"{path}:{lineno}: values must be strictly positive, got {raw}")
+        return value
+
+    values: list[float] = []
+    if column is not None or "," in first or not _is_number(first):
+        column = column or "y"
+        reader = csv.reader(io.StringIO(text))
+        header = next((row for row in reader if "".join(row).strip()), [])
+        if column not in header:
+            raise DataError(f"CSV file {path!r} has no column named {column!r}")
+        col = header.index(column)
+        for row in reader:
+            if row:
+                raw = row[col].strip() if col < len(row) else ""
+                values.append(_parse_value(raw, reader.line_num))
+    else:
+        for lineno, raw in enumerate(lines, start=1):
+            raw = raw.strip()
+            if raw:
+                values.append(_parse_value(raw, lineno))
+    if not values:
+        raise DataError(f"input file {path!r} contains no values")
+    return Sample(np.array(values))
+
+
+_VALUES = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
+_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "abc", "1_0", "1e999"])
+_PADS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _data_files(draw):
+    """A plain column or a CSV file, and the ``column`` to read it with.
+
+    Half the files hold only valid values, padded with whitespace and set
+    among blank and whitespace-only lines; the other half may also hold bad
+    values and, in a CSV, short rows.  CSV rows may carry a quoted field
+    with newlines in it.
+    """
+    bad = draw(st.booleans())
+    value = (st.one_of(_VALUES, _BAD_VALUES) if bad else _VALUES).flatmap(
+        lambda v: st.tuples(_PADS, _PADS).map(lambda pads: pads[0] + v + pads[1])
+    )
+    values = draw(st.lists(value, max_size=25))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    blank_line = _PADS if bad else st.just("")  # a whitespace-only CSV row is a bad value
+    if draw(st.booleans()):
+        lines = []
+        for v in values:
+            lines += draw(st.lists(_PADS, max_size=2)) + [v]
+        return bom + newline.join(lines) + draw(st.sampled_from(["", newline])), None
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=newline)
+    out.write(bom + draw(st.sampled_from(["", newline])))
+    writer.writerow(["id", "y", "note"])
+    shapes = ["full", "quoted"] + (["short"] if bad else [])
+    for i, v in enumerate(values, start=1):
+        if draw(st.booleans()):
+            out.write(draw(blank_line) + newline)
+        shape = draw(st.sampled_from(shapes))
+        writer.writerow([i] if shape == "short" else [i, v, "a\nb" if shape == "quoted" else ""])
+    return out.getvalue(), draw(st.sampled_from([None, "y", "id", "note"]))
+
+
+@pytest.fixture(scope="module")
+def oracle_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("oracle") / "data")
+
+
+def _read_outcome(reader, path, column):
+    """The values read, bit for bit, or the message of the DataError raised."""
+    try:
+        return [v.hex() for v in reader(path, column).values.tolist()]
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_data_files())
+def test_read_sample_matches_line_by_line_oracle(oracle_path, case):
+    text, column = case
+    Path(oracle_path).write_bytes(text.encode("utf-8"))
+    expected = _read_outcome(_line_by_line_read_sample, oracle_path, column)
+    assert _read_outcome(read_sample, oracle_path, column) == expected
+
 
 class TestCompute:
     def test_gini_json(self, capsys, plain_file):
@@ -171,6 +305,28 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--input", str(p))
         assert code == EXIT_DATA
         assert ":2:" in err
+
+    def test_plain_and_csv_forms_print_the_same_json(self, capsys, tmp_path):
+        y = np.random.default_rng(7).gamma(2.5, 1.0, 500)
+        plain = tmp_path / "y.txt"
+        plain.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+        table = tmp_path / "y.csv"
+        table.write_text("id,y\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(y.tolist())))
+        outs = []
+        for p in (plain, table):
+            code, out, _ = run_cli(capsys, "compute", "--input", str(p), "--index", "all", "--debias")
+            assert code == EXIT_OK
+            outs.append(out.replace(json.dumps(str(p)), '"<input>"'))
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["n"] == 500
+
+    def test_undecodable_file_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"1.5\n\xe92\n")
+        code, out, err = run_cli(capsys, "compute", "--input", str(p))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"DATA_ERROR: {p}:2: not UTF-8 text")
 
     def test_debias_on_constant_sample_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "c.txt"

@@ -12,9 +12,11 @@ from gammadex.indices import (
     Sample,
     atkinson,
     compute_index,
+    fsum,
     gini,
     gini_pairwise,
     gini_sorted,
+    index_values,
     sample_mean,
     theil_t,
     vmr,
@@ -189,3 +191,40 @@ def test_kind_parse():
     assert IndexKind.parse("Theil") is IndexKind.THEIL_T
     with pytest.raises(DomainError):
         IndexKind.parse("median")
+
+
+def test_kind_min_n_is_fixed_per_member():
+    assert {k: k.min_n for k in IndexKind} == {
+        IndexKind.GINI: 2, IndexKind.THEIL_T: 1, IndexKind.ATKINSON: 1, IndexKind.VMR: 2,
+    }
+    assert all(vars(k)["min_n"] == k.min_n for k in IndexKind)  # stored, not computed
+    assert [k.value for k in IndexKind] == ["gini", "theil", "atkinson", "vmr"]
+    assert IndexKind("vmr") is IndexKind.VMR
+
+
+# Magnitudes from subnormal to 1e150 of either sign, and signed zeros.
+wide_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@settings(max_examples=300)
+@given(st.lists(wide_floats, min_size=1, max_size=200), st.randoms(use_true_random=False))
+def test_one_sample_reducer_is_exactly_fsum(values, rand):
+    x = np.array(values)
+    y = np.abs(x) + 1e-300
+    n = y.size
+    weights = 2.0 * np.arange(1, n + 1) - n - 1.0
+    mirrored = np.concatenate([x, -x])
+    rand.shuffle(mirrored)  # cancels to exactly zero, in any order
+    theil_terms = y * (np.log(y) - np.log(y.mean()))
+    for arr in (x, weights * np.sort(y), theil_terms, mirrored, mirrored + x[0]):
+        got, want = fsum(arr), math.fsum(arr)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=150)
+@given(positive_samples)
+def test_compute_index_sums_like_fsum_over_the_array(values):
+    y = np.array(values)
+    for kind in IndexKind:
+        assert compute_index(kind, y) == float(index_values(kind, y, math.fsum))
