@@ -47,6 +47,10 @@ EXIT_NUMERIC = 4
 
 _ALL_KINDS = tuple(IndexKind)
 
+# From the first non-whitespace character to the next line end that
+# str.splitlines knows: the first non-blank line, less its leading space.
+_FIRST_LINE = re.compile(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
@@ -72,10 +76,10 @@ def read_sample(path: str, column: str | None = None) -> Sample:
     first bad physical line.
     """
     text = _read_text(path)
-    lines = text.splitlines()
-    first = next((line.strip() for line in lines if line.strip()), None)
-    if first is None:
+    match = _FIRST_LINE.search(text)
+    if match is None:
         raise DataError(f"input file {path!r} is empty")
+    first = match.group().rstrip()
 
     def _is_number(token: str) -> bool:
         try:
@@ -91,6 +95,8 @@ def read_sample(path: str, column: str | None = None) -> Sample:
         if column not in header:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
         col = header.index(column)
+    else:
+        lines = text.splitlines()
     # Valid data costs one float() per value: float() ignores surrounding
     # whitespace, and Sample checks that the values are finite and positive
     # (its DomainError is a ValueError).  Only a bad file is read again, line

@@ -68,6 +68,15 @@ class TestReadSample:
         p.write_text("\n1\n2\n3\n")
         assert read_sample(str(p)).values.tolist() == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize(
+        "end", ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_first_line_ends_where_splitlines_ends_it(self, tmp_path, end):
+        """Past blank lines, the first value line stops at any str.splitlines line end."""
+        p = tmp_path / "d.txt"
+        p.write_bytes(end.join(["", " ", "1.5", "2.5"]).encode())
+        assert read_sample(str(p)).values.tolist() == [1.5, 2.5]
+
     def test_only_blank_lines(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("\n  \n\n")

@@ -1,43 +1,32 @@
-"""Philox4x32-10 stream: known-answer vectors, determinism, uniformity."""
+"""Philox4x64-10 stream: known answers, determinism, uniformity."""
 
 import numpy as np
 import pytest
 
-from gammadex import rng
 from gammadex.errors import DomainError
-from gammadex.rng import RngStream, philox4x32_10
+from gammadex.rng import RngStream
 
-# Published known-answer vectors for Philox4x32 with 10 rounds
-# (counter words c0..c3, key words k0..k1 -> output words).
-KAT = [
-    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-    (
-        (0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF),
-        (0xFFFFFFFF, 0xFFFFFFFF),
-        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
-    ),
-    (
-        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
-        (0xA4093822, 0x299F31D0),
-        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
-    ),
+# The first eight doubles of RngStream(987654321, 55), made with numpy 2.4:
+# key words (seed, stream_id), counter 0, doubles (raw >> 11) * 2**-53.
+KNOWN_ANSWER = [
+    0.8802380665063829,
+    0.05669705776851197,
+    0.48477077495381016,
+    0.4670157648326425,
+    0.4106401448444388,
+    0.9749944397248134,
+    0.6697329303025451,
+    0.4191285226178869,
 ]
 
 
-@pytest.mark.parametrize(("counter", "key", "expected"), KAT)
-def test_known_answer_vectors(counter, key, expected):
-    assert philox4x32_10(counter, key) == expected
-
-
-def test_vectorized_matches_scalar_reference():
+def test_known_answer():
     seed, stream = 987654321, 55
     u = RngStream(seed, stream).uniforms(8)
-    expected = []
-    for block in range(4):
-        w = philox4x32_10((block, 0, stream, 0), (seed & 0xFFFFFFFF, seed >> 32))
-        expected.append((((w[0] << 32) | w[1]) >> 11) * 2.0**-53)
-        expected.append((((w[2] << 32) | w[3]) >> 11) * 2.0**-53)
-    assert np.array_equal(u, np.array(expected))
+    assert u.tolist() == KNOWN_ANSWER
+    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    raw = bits.random_raw(8)
+    assert u.tolist() == [(int(w) >> 11) * 2.0**-53 for w in raw]
 
 
 def test_streams_are_reproducible():
@@ -53,33 +42,22 @@ def test_chunked_requests_replay_the_same_stream():
     assert np.array_equal(whole, parts)
 
 
-def _whole_and_split() -> tuple[np.ndarray, np.ndarray]:
-    whole = RngStream(5, 3).uniforms(1001)
+@pytest.mark.parametrize("sizes", [(3, 998), (1, 1, 999), (70_000, 1, 160_000)])
+def test_split_requests_equal_one_whole_request(sizes):
+    whole = RngStream(5, 3).uniforms(sum(sizes))
     r = RngStream(5, 3)
-    return whole, np.concatenate([r.uniforms(3), r.uniforms(998)])
-
-
-def test_chunk_size_changes_no_bits(monkeypatch):
-    """1001 uniforms fit one default chunk and span 72 chunks of 7 blocks."""
-    whole, split = _whole_and_split()
-    monkeypatch.setattr(rng, "_CHUNK_BLOCKS", 7)
-    chunked_whole, chunked_split = _whole_and_split()
-    assert np.array_equal(chunked_whole, whole)
-    assert np.array_equal(chunked_split, split)
-
-
-def test_odd_request_leaves_the_rest_of_its_block():
-    """A call takes whole blocks, so an odd count drops its last block's second double."""
-    whole = RngStream(5, 3).uniforms(1002)
-    r = RngStream(5, 3)
-    assert np.array_equal(r.uniforms(3), whole[:3])
-    assert np.array_equal(r.uniforms(998), whole[4:1002])
+    assert np.array_equal(np.concatenate([r.uniforms(k) for k in sizes]), whole)
 
 
 def test_distinct_streams_differ():
     base = RngStream(123, 0).uniforms(1000)
     assert not np.array_equal(RngStream(123, 1).uniforms(1000), base)
     assert not np.array_equal(RngStream(124, 0).uniforms(1000), base)
+
+
+def test_key_packs_seed_and_stream_id_apart():
+    """seed and stream_id fill separate key words, so swapping them changes the stream."""
+    assert not np.array_equal(RngStream(0, 1).uniforms(1000), RngStream(1, 0).uniforms(1000))
 
 
 def test_spawn_offsets_stream_id():
@@ -107,4 +85,3 @@ def test_large_seed_and_stream_ids():
 def test_rejects_bad_seed(bad):
     with pytest.raises(DomainError):
         RngStream(bad)
-

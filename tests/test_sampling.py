@@ -17,6 +17,7 @@ from gammadex.sampling import (
     gamma_variates,
     standard_normals,
 )
+from gammadex.special import digamma
 
 # Two-sided 0.001-level asymptotic Kolmogorov-Smirnov critical constant.
 KS_CRIT_0001 = 1.9494746035204052
@@ -65,6 +66,30 @@ class TestGamma:
         s = x + y
         _band(s, 3.5 / 2.0)
         _band((s - 3.5 / 2.0) ** 2, 3.5 / 4.0)
+
+    @pytest.mark.parametrize(
+        ("alpha", "rate"),
+        [
+            pytest.param(
+                0.003,
+                1.0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="draws that underflow to 0 are redrawn, so the sampler draws "
+                    "G given G > 0 and E[log G] is biased upward at tiny shapes",
+                ),
+            ),
+            (0.01, 1.0),
+            (0.05, 2.0),
+            (0.5, 1.0),
+            (2.0, 3.0),
+            (5.0, 0.5),
+        ],
+    )
+    def test_mean_log_is_digamma_minus_log_rate(self, alpha, rate):
+        """E[log G] = psi(alpha) - log(rate): exactness in distribution, down to tiny shapes."""
+        g = gamma_variates(RngStream(2718, 0), GammaParams(alpha, rate), 200_000)
+        _band(np.log(g), digamma(alpha) - math.log(rate))
 
     def test_scalar_wrapper(self):
         v = gamma_variate(RngStream(1, 0), GammaParams(2.0))
