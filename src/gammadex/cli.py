@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError, SizeError
 from .gamma_forms import GammaParams, alpha_plug_in, debias, expectation, population_value
-from .indices import IndexKind, Sample, compute_index
+from .indices import IndexKind, Sample, compute_indices
 from .rng import RngStream
 from .verify import DEFAULT_SEED, VerifyConfig, mc_expectation, run_verification
 
@@ -198,10 +198,11 @@ def cmd_compute(args) -> int:
     given = None if args.alpha is None else GammaParams(args.alpha)
     sample = read_sample(args.input, args.column)
     try:
-        indices = {k.value: compute_index(k, sample) for k in kinds}
+        values = compute_indices(kinds, sample)
+        indices = {k.value: v for k, v in values.items()}
         result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
         if args.debias:
-            params = given or GammaParams(alpha_plug_in(sample))
+            params = given or GammaParams(alpha_plug_in(sample, values.get(IndexKind.VMR)))
             result["alpha"] = params.alpha
             result["alpha_source"] = "plug_in" if given is None else "given"
             result["debiased"] = {

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SizeError
-from .indices import IndexKind, Sample, SampleLike, as_sample, vmr as _sample_vmr
-from .special import _require_positive, digamma, log_gamma
+from .indices import IndexKind, SampleLike, as_sample, compute_index
+from .special import _require_positive, digamma, log_gamma, log_minus_digamma
 
 __all__ = [
     "GammaParams",
@@ -194,7 +194,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
         if n == 1:
             return raw
         na = n * a
-        return raw - (math.log(na) - digamma(na) - 1.0 / na)
+        return raw - (log_minus_digamma(na) - 1.0 / na)
     if kind is IndexKind.ATKINSON:
         if n == 1:
             return raw
@@ -204,12 +204,16 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     return raw * (na + 1.0) / na
 
 
-def alpha_plug_in(values: SampleLike) -> float:
-    """Method-of-moments shape estimate alpha_hat = mean^2 / variance."""
+def alpha_plug_in(values: SampleLike, vmr: float | None = None) -> float:
+    """Method-of-moments shape estimate alpha_hat = mean^2 / variance = mean / VMR.
+
+    ``vmr`` is the sample's VMR when the caller has already computed it; the
+    mean comes from the sample's total, which ``Sample`` computes once.
+    """
     s = as_sample(values)
     if s.n < 2:
         raise SizeError(f"plug-in shape estimate needs at least 2 observations, got {s.n}")
-    ratio = _sample_vmr(s)
+    ratio = compute_index(IndexKind.VMR, s) if vmr is None else vmr
     if ratio == 0.0:
         raise DomainError("cannot estimate the shape from a constant sample")
     return s.mean / ratio

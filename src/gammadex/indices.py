@@ -8,13 +8,14 @@ observations:
 * Atkinson index (one minus geometric over arithmetic mean),
 * variance-to-mean ratio (unbiased sample variance over the mean).
 
-Each index is defined once, as a function of the last axis of an array
-and of a row-sum reducer.  The one-sample API passes ``fsum``, which is
-``math.fsum`` over the array's values as a Python list, so sums that feed
-ratios are correctly rounded and the O(n log n) Gini path and the
-brute-force pairwise oracle agree to ~1e-15 even for large samples; Monte
-Carlo blocks pass ``row_sums`` and get one value per row of a 2-D array
-from the same formulas.
+Each index is defined once, as a function of axis 0 of an array, of a
+reducer that sums over that axis, and of the array's total under it,
+which every index of the same samples shares.  The one-sample API passes
+``fsum``, which is ``math.fsum`` over the array's values as a Python list,
+so sums that feed ratios are correctly rounded and the O(n log n) Gini
+path and the brute-force pairwise oracle agree to ~1e-15 even for large
+samples; Monte Carlo blocks are ``(n, samples)`` arrays, pass
+``column_sums`` and get one value per column from the same formulas.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -39,8 +41,9 @@ __all__ = [
     "atkinson",
     "vmr",
     "compute_index",
+    "compute_indices",
     "index_values",
-    "row_sums",
+    "column_sums",
 ]
 
 
@@ -96,8 +99,9 @@ class Sample:
     def n(self) -> int:
         return int(self.values.size)
 
-    @property
+    @cached_property
     def total(self) -> float:
+        """fsum of the values, computed once per sample."""
         return fsum(self.values)
 
     @property
@@ -146,9 +150,10 @@ def gini_pairwise(values: SampleLike) -> float:
 
 
 # ---------------------------------------------------------------------------
-# One definition per index.  ``y`` holds samples along its last axis and
-# ``reduce`` sums over that axis: ``fsum`` for one sample, ``row_sums`` for
-# a block of samples (one per row).
+# One definition per index.  ``y`` holds samples along axis 0 and ``reduce``
+# sums over that axis: ``fsum`` for one 1-D sample, ``column_sums`` for a
+# block of samples, one per column.  ``total`` is ``reduce(y)``, computed once
+# and shared by every index of the same samples.
 # ---------------------------------------------------------------------------
 
 Reducer = Callable[[np.ndarray], "float | np.ndarray"]
@@ -163,33 +168,33 @@ def fsum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def row_sums(x: np.ndarray) -> np.ndarray:
-    """Sums over the last axis, kept as a length-1 axis so they broadcast."""
-    return x.sum(axis=-1, keepdims=True)
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 0: one per sample of an ``(n, samples)`` block."""
+    return x.sum(axis=0)
 
 
-def _gini(y: np.ndarray, reduce: Reducer):
-    n = y.shape[-1]
+def _gini(y: np.ndarray, total, reduce: Reducer):
+    n = y.shape[0]
     weights = 2.0 * np.arange(1, n + 1) - n - 1.0
-    numerator = reduce(weights * np.sort(y, axis=-1))
-    return _snap(numerator / ((n - 1) * reduce(y)), lo=0.0, hi=1.0)
+    weights = weights.reshape((n,) + (1,) * (y.ndim - 1))
+    numerator = reduce(weights * np.sort(y, axis=0))
+    return _snap(numerator / ((n - 1) * total), lo=0.0, hi=1.0)
 
 
-def _theil_t(y: np.ndarray, reduce: Reducer):
-    total = reduce(y)
-    mu = total / y.shape[-1]
+def _theil_t(y: np.ndarray, total, reduce: Reducer):
+    mu = total / y.shape[0]
     return _snap(reduce(y * np.log(y / mu)) / total, lo=0.0)
 
 
-def _atkinson(y: np.ndarray, reduce: Reducer):
-    n = y.shape[-1]
-    log_ratio = reduce(np.log(y)) / n - np.log(reduce(y) / n)
+def _atkinson(y: np.ndarray, total, reduce: Reducer):
+    n = y.shape[0]
+    log_ratio = reduce(np.log(y)) / n - np.log(total / n)
     return _snap(0.0 - np.expm1(log_ratio), lo=0.0)  # +0.0, not -0.0, for equal values
 
 
-def _vmr(y: np.ndarray, reduce: Reducer):
-    n = y.shape[-1]
-    mu = reduce(y) / n
+def _vmr(y: np.ndarray, total, reduce: Reducer):
+    n = y.shape[0]
+    mu = total / n
     return reduce(np.square(y - mu)) / (n - 1) / mu
 
 
@@ -201,20 +206,35 @@ _KERNELS = {
 }
 
 
-def index_values(kind: IndexKind, y: np.ndarray, reduce: Reducer = row_sums):
-    """The index of each sample along the last axis of ``y``.
+def index_values(
+    kinds: Sequence[IndexKind],
+    y: np.ndarray,
+    reduce: Reducer = column_sums,
+    total=None,
+) -> list:
+    """Each index in ``kinds`` of each sample along axis 0 of ``y``.
 
-    With the default ``row_sums`` a 2-D array of strictly positive values
-    gives an ``(rows, 1)`` column; no input checks are made.
+    ``y`` is summed once for all kinds; pass ``total``, which is
+    ``reduce(y)``, when it is already known.  With the default
+    ``column_sums`` an ``(n, samples)`` block of strictly positive values
+    gives one length-``samples`` array per kind; no input checks are made.
     """
-    return _KERNELS[kind](y, reduce)
+    if total is None:
+        total = reduce(y)
+    return [_KERNELS[kind](y, total, reduce) for kind in kinds]
+
+
+def compute_indices(kinds: Sequence[IndexKind], values: SampleLike) -> dict[IndexKind, float]:
+    """Evaluate each index in ``kinds`` of one sample, with compensated sums."""
+    s = as_sample(values)
+    for kind in kinds:
+        _require_n(s, kind.min_n, kind.value)
+    return dict(zip(kinds, map(float, index_values(kinds, s.values, fsum, s.total))))
 
 
 def compute_index(kind: IndexKind, values: SampleLike) -> float:
     """Evaluate one index selected by kind, with compensated sums."""
-    s = as_sample(values)
-    _require_n(s, kind.min_n, kind.value)
-    return float(index_values(kind, s.values, fsum))
+    return compute_indices((kind,), values)[kind]
 
 
 def gini_sorted(values: SampleLike) -> float:

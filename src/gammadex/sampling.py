@@ -6,7 +6,9 @@ standard normal z are accepted when u < 1 - 0.0331 z^4 or
 log(u) < z^2/2 + d(1 - v + log v).  Shapes below one are generated at
 alpha + 1 and scaled by u^(1/alpha).  Normals come from Box-Muller
 pairs, so the number of uniforms consumed is a deterministic function
-of the acceptance pattern and sequences replay exactly.
+of the acceptance pattern and sequences replay exactly.  Each rejection
+round takes all its uniforms in one request and is evaluated in
+cache-sized slices, with the same result as one pass over the round.
 
 Beta and Dirichlet variates are gamma ratios: X/(X+Y) for Beta(a, b),
 and a normalized vector of i.i.d. gammas for the symmetric Dirichlet.
@@ -34,47 +36,89 @@ __all__ = [
 # the parameters are broken in a way worth a loud diagnostic.
 _MAX_REJECTION_ROUNDS = 10_000
 
+# Candidates per slice of a Marsaglia-Tsang round: even, so Box-Muller pairs
+# stay whole, and small enough that a slice's buffers stay in cache.  Much
+# smaller slices cost more Python time per variate, which holds the GIL.
+_CHUNK = 1 << 15
+
+
+def _box_muller(radius_u: np.ndarray, angle_u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the normals of the uniform pairs (radius_u[i], angle_u[i]).
+
+    Pair i gives out[2i] = r cos(theta) and out[2i + 1] = r sin(theta), with
+    r = sqrt(-2 log(1 - radius_u[i])) and theta = 2 pi angle_u[i].
+    """
+    r = np.negative(radius_u)
+    np.log1p(r, out=r)  # 1 - u lies in (0, 1], keeping the log finite
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = np.multiply(angle_u, 2.0 * np.pi)
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.sin(theta, out=theta)
+    np.multiply(r, theta, out=out[1::2])
+    return out
+
 
 def standard_normals(rng: RngStream, size: int) -> np.ndarray:
-    """size i.i.d. N(0, 1) variates via Box-Muller."""
+    """size i.i.d. N(0, 1) variates via Box-Muller.
+
+    The ceil(size/2) pairs take 2*ceil(size/2) uniforms: every radius
+    uniform first, then every angle uniform.
+    """
     size = int(size)
     if size == 0:
         return np.empty(0)
     pairs = (size + 1) // 2
     u = rng.uniforms(2 * pairs)
-    # 1 - u lies in (0, 1], keeping the log finite.
-    r = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-    theta = (2.0 * np.pi) * u[pairs:]
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:size]
+    return _box_muller(u[:pairs], u[pairs:], np.empty(2 * pairs))[:size]
 
 
 def _gamma_unit_rate(rng: RngStream, alpha: float, size: int) -> np.ndarray:
-    """size gamma(alpha, rate=1) variates, alpha >= 1, Marsaglia-Tsang."""
+    """size gamma(alpha, rate=1) variates, alpha >= 1, Marsaglia-Tsang.
+
+    A rejection round of m candidates takes its uniforms in one request:
+    the 2*ceil(m/2) uniforms of ``standard_normals(rng, m)``, then m
+    acceptance uniforms.  The round is evaluated in slices of ``_CHUNK``
+    candidates, in place in slice-sized buffers that stay in cache, and
+    accepted values are appended in candidate order.  Slices start at even
+    candidates, so no Box-Muller pair is split, and the output is bit for
+    bit that of one pass over the whole round.
+    """
     d = alpha - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(size)
+    z_buf, w_buf, v_buf, t_buf = np.empty((4, min(_CHUNK, size + 1)))
     filled = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
         if filled >= size:
             return out
         m = size - filled
-        z = standard_normals(rng, m)
-        w = 1.0 - rng.uniforms(m)  # (0, 1], safe under log
-        v = 1.0 + c * z
-        v *= v * v
-        pos = v > 0.0
-        z2 = z * z
-        accept = pos & (w < 1.0 - 0.0331 * z2 * z2)
-        slow = pos & ~accept
-        if slow.any():
-            vs = v[slow]
-            accept[slow] = np.log(w[slow]) < 0.5 * z2[slow] + d * (1.0 - vs + np.log(vs))
-        vals = d * v[accept]
-        out[filled : filled + vals.size] = vals
-        filled += vals.size
+        pairs = (m + 1) // 2
+        u = rng.uniforms(2 * pairs + m)
+        for start in range(0, m, _CHUNK):
+            k = min(_CHUNK, m - start)
+            p0, p1 = start // 2, (start + k + 1) // 2
+            z = _box_muller(u[p0:p1], u[pairs + p0 : pairs + p1], z_buf[: 2 * (p1 - p0)])[:k]
+            w = np.subtract(1.0, u[2 * pairs + start : 2 * pairs + start + k], out=w_buf[:k])
+            v = np.multiply(z, c, out=v_buf[:k])
+            v += 1.0
+            t = np.multiply(v, v, out=t_buf[:k])
+            v *= t
+            pos = v > 0.0
+            z2 = np.multiply(z, z, out=z)
+            np.multiply(z2, 0.0331, out=t)
+            t *= z2
+            np.subtract(1.0, t, out=t)
+            accept = w < t
+            accept &= pos
+            # indices, not a mask: the slow test sees a few percent of candidates
+            slow = np.flatnonzero(pos ^ accept)  # pos & ~accept, as accept implies pos
+            if slow.size:  # w lies in (0, 1], safe under log
+                vs = v[slow]
+                accept[slow] = np.log(w[slow]) < 0.5 * z2[slow] + d * (1.0 - vs + np.log(vs))
+            vals = v[accept]
+            np.multiply(vals, d, out=out[filled : filled + vals.size])
+            filled += vals.size
     raise NumericError(
         f"gamma rejection sampler exhausted {_MAX_REJECTION_ROUNDS} passes (alpha={alpha})"
     )
@@ -85,8 +129,10 @@ def _gamma_draw(rng: RngStream, alpha: float, rate: float, size: int) -> np.ndar
         out = _gamma_unit_rate(rng, alpha, size)
     else:
         out = _gamma_unit_rate(rng, alpha + 1.0, size)
-        boost = 1.0 - rng.uniforms(size)  # (0, 1]
-        out *= boost ** (1.0 / alpha)
+        boost = rng.uniforms(size)
+        np.subtract(1.0, boost, out=boost)  # (0, 1]
+        boost **= 1.0 / alpha
+        out *= boost
     out /= rate
     return out
 

@@ -5,12 +5,14 @@ block engine: it draws gamma samples in fixed-size replicate blocks, one
 child stream per block (``stream_id = anchor + block index``), maps each
 block to a few statistic columns, and merges each block's count, mean
 vector and centered co-moment matrix (Chan, Golub & LeVeque 1979) in
-block order.  A block's partials depend only on its stream, and the merge
-order is fixed, so results are bit-identical regardless of how many
-workers execute the blocks.  Quadrature and enumeration checks reuse
-the same report shape with ``reps = 0``; quadrature lines carry their
-agreement tolerance as a pseudo standard error so the pass rule
-``|z_score| <= z_max`` applies uniformly.
+block order.  A block of size-n samples is an ``(n, samples)`` array, one
+sample of consecutive draws per column, so the statistics reduce over the
+short axis 0 with operations on whole rows.  A block's partials depend
+only on its stream, and the merge order is fixed, so results are
+bit-identical regardless of how many workers execute the blocks.
+Quadrature and enumeration checks reuse the same report shape with
+``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
+standard error so the pass rule ``|z_score| <= z_max`` applies uniformly.
 
 ``run_verification`` executes the fixed grid below: raw estimator means
 against their exact expectations, debiased means against population
@@ -30,7 +32,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .gamma_forms import (
     pop_gini,
     population_value,
 )
-from .indices import IndexKind, gini, index_values, row_sums
+from .indices import IndexKind, column_sums, gini, index_values
 from .quadrature import integrate
 from .rng import RngStream, _require_u64
 from .sampling import gamma_variates
@@ -152,22 +155,24 @@ def _block_moments(
     n: int,
     reps: int,
     rng: RngStream,
-    stat: Callable[[np.ndarray], np.ndarray],
+    stat: Callable[[np.ndarray], Sequence[np.ndarray]],
     workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and sample covariance matrix of ``stat`` over ``reps`` samples.
 
     Block b holds the next 25k samples of size n (fewer in the last block),
-    drawn from child stream b of ``rng``; ``stat`` maps the ``(size_b, n)``
-    block to a ``(size_b, k)`` matrix of statistic columns.  Block partials
-    are merged in block order, whichever worker produced them.
+    drawn from child stream b of ``rng``.  The block is an ``(n, size_b)``
+    array with one sample per column, so the statistics reduce over axis 0;
+    column i holds draws i*n to i*n + n - 1 of the block's stream.  ``stat``
+    maps the block to k statistics, each one value per sample.  Block
+    partials are merged in block order, whichever worker produced them.
     """
     sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
     workers = min(workers, len(sizes))
 
     def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
-        y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n)
-        x = stat(y)
+        y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n).T.copy()
+        x = np.stack(stat(y), axis=1)
         mean = x.mean(axis=0)
         dev = x - mean
         return mean, np.einsum("ij,ik->jk", dev, dev)
@@ -202,10 +207,7 @@ def _index_reports(
     map is affine in the raw value, so the debiased mean and standard error
     follow from the raw ones.
     """
-    def stat(y: np.ndarray) -> np.ndarray:
-        return np.hstack([index_values(kind, y) for kind in kinds])
-
-    means, cov = _block_moments(params, n, reps, rng, stat, workers)
+    means, cov = _block_moments(params, n, reps, rng, partial(index_values, kinds), workers)
     cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
     pairs = []
     for j, kind in enumerate(kinds):
@@ -243,10 +245,10 @@ def mc_expectation(
     return debiased if debias_values else raw
 
 
-def _lukacs_columns(y: np.ndarray) -> np.ndarray:
-    s = row_sums(y)
-    r = y[:, :1] / s
-    return np.hstack([r, np.abs(2.0 * r - 1.0), s])
+def _lukacs_columns(y: np.ndarray) -> list[np.ndarray]:
+    s = column_sums(y)
+    r = y[0] / s
+    return [r, np.abs(2.0 * r - 1.0), s]
 
 
 def lukacs_independence_check(
@@ -279,8 +281,8 @@ def lukacs_independence_check(
     )
 
 
-def _dirichlet_product(y: np.ndarray) -> np.ndarray:
-    return np.exp(np.log(y / row_sums(y)).mean(axis=1, keepdims=True))
+def _dirichlet_product(y: np.ndarray) -> list[np.ndarray]:
+    return [np.exp(np.log(y / column_sums(y)).mean(axis=0))]
 
 
 def dirichlet_product_moment_check(

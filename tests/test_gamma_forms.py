@@ -35,6 +35,15 @@ EXPECT_ATKINSON_1_2 = 0.21460183660255169  # 1 - pi/4
 EXPECT_ATKINSON_2_3 = 0.15606169755409849  # confirmed by brute-force MC oracle
 EULER_GAMMA = 0.5772156649015329
 
+# The Theil bias term log(na) - psi(na) - 1/(na) at (alpha, n), from
+#   mpmath.mp.dps = 50; x = mpmath.mpf(alpha) * n
+#   float(mpmath.log(x) - mpmath.digamma(x) - 1 / x)
+THEIL_BIAS_MPMATH = [
+    (5.0, 10**9, -9.999999999666667e-11),
+    (0.5, 10**6, -9.999996666666666e-07),
+    (2.0, 5, -0.049167496072675426),
+]
+
 ALPHAS = (0.5, 1.0, 2.0, 3.7, 5.0, 100.0)
 
 
@@ -210,6 +219,21 @@ class TestDebias:
     def test_theil_spot(self):
         debiased = debias(IndexKind.THEIL_T, GammaParams(1.0), 2, EXPECT_THEIL_1_2)
         assert debiased == pytest.approx(1.0 - EULER_GAMMA, rel=1e-12)
+
+    @pytest.mark.parametrize(("alpha", "n", "bias"), THEIL_BIAS_MPMATH)
+    def test_theil_bias_term_at_large_na(self, alpha, n, bias):
+        # debias subtracts log(na) - psi(na) - 1/(na), which at na = 5e9 is
+        # 1e-10 against log(na) ~ 22: it must not be a difference of the two.
+        assert -debias(IndexKind.THEIL_T, GammaParams(alpha), n, 0.0) == pytest.approx(
+            bias, rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize(("alpha", "n", "bias"), THEIL_BIAS_MPMATH)
+    def test_theil_bias_literals_match_mpmath(self, alpha, n, bias):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.mpf(alpha) * n
+            assert float(mpmath.log(x) - mpmath.digamma(x) - 1 / x) == bias
 
     @pytest.mark.parametrize("kind", [IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])

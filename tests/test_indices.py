@@ -12,6 +12,7 @@ from gammadex.indices import (
     Sample,
     atkinson,
     compute_index,
+    compute_indices,
     fsum,
     gini,
     gini_pairwise,
@@ -227,4 +228,6 @@ def test_one_sample_reducer_is_exactly_fsum(values, rand):
 def test_compute_index_sums_like_fsum_over_the_array(values):
     y = np.array(values)
     for kind in IndexKind:
-        assert compute_index(kind, y) == float(index_values(kind, y, math.fsum))
+        [value] = index_values((kind,), y, math.fsum)
+        assert compute_index(kind, y) == float(value)
+    assert compute_indices(tuple(IndexKind), y) == {k: compute_index(k, y) for k in IndexKind}

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gammadex.errors import DomainError
-from gammadex.special import digamma, duplication_residual, log_beta, log_gamma
+from gammadex.special import (
+    digamma, duplication_residual, log_beta, log_gamma, log_minus_digamma,
+)
 
 # High-precision reference values (40-digit evaluation, rounded to double).
 LN_SQRT_PI = 0.5723649429247001
@@ -47,6 +49,22 @@ def test_log_gamma_matches_stdlib(x):
 )
 def test_digamma_known_values(x, expected):
     assert digamma(x) == pytest.approx(expected, abs=1e-12)
+
+
+# log(x) - psi(x) from mpmath at 50 digits, rounded to double:
+#   mpmath.mp.dps = 50; float(mpmath.log(x) - mpmath.digamma(x))
+@pytest.mark.parametrize(
+    ("x", "expected"),
+    [
+        (1e-3, 993.6678166528282),
+        (0.5, 1.2703628454614782),
+        (9.99, 0.05088421982926105),
+        (10.0, 0.05083250392732458),
+        (5e9, 1.0000000000333333e-10),
+    ],
+)
+def test_log_minus_digamma_known_values(x, expected):
+    assert log_minus_digamma(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_digamma_recurrence_grid():
@@ -92,7 +110,7 @@ def test_duplication_residual_log_grid():
         assert abs(duplication_residual(alpha)) <= 1e-11
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma])
+@pytest.mark.parametrize("fn", [log_gamma, digamma, log_minus_digamma])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_domain_errors(fn, bad):
     with pytest.raises(DomainError):

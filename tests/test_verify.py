@@ -10,9 +10,11 @@ from gammadex import verify
 from gammadex.cli import _emit
 from gammadex.errors import DomainError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
-from gammadex.indices import IndexKind, atkinson, gini, index_values, theil_t, vmr
+from gammadex.indices import (
+    IndexKind, atkinson, compute_index, gini, index_values, theil_t, vmr,
+)
 from gammadex.rng import RngStream
-from gammadex.sampling import dirichlet_variates
+from gammadex.sampling import dirichlet_variates, gamma_variates
 from gammadex.verify import (
     McReport,
     VerifyConfig,
@@ -37,22 +39,32 @@ SCALAR = {
 
 
 class TestBatchEstimators:
-    """The shared kernels with the row-sum reducer must match the fsum API."""
+    """The shared kernels on (n, samples) blocks must match the fsum API."""
 
     @pytest.mark.parametrize("kind", list(IndexKind))
     @pytest.mark.parametrize("n", [2, 3, 10, 57])
     def test_matches_scalar_definitions(self, kind, n):
         rng = np.random.default_rng(1234 + n)
-        y = rng.gamma(1.5, 2.0, size=(200, n)) + 1e-12
-        batch = index_values(kind, y)
-        assert batch.shape == (200, 1)
+        y = rng.gamma(1.5, 2.0, size=(n, 200)) + 1e-12
+        [batch] = index_values((kind,), y)
+        assert batch.shape == (200,)
         for i in range(0, 200, 17):
-            assert batch[i, 0] == pytest.approx(SCALAR[kind](y[i]), rel=1e-11, abs=1e-12)
+            assert batch[i] == pytest.approx(SCALAR[kind](y[:, i]), rel=1e-11, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [IndexKind.THEIL_T, IndexKind.ATKINSON])
     def test_n1_rows_are_zero(self, kind):
-        y = np.random.default_rng(5).gamma(2.0, 1.0, size=(50, 1))
-        assert np.all(index_values(kind, y) == 0.0)
+        y = np.random.default_rng(5).gamma(2.0, 1.0, size=(1, 50))
+        assert np.all(index_values((kind,), y)[0] == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_block_columns_match_compute_index(self, n):
+        y = np.random.default_rng(99 + n).gamma(0.7, 3.0, size=(n, 300))
+        kinds = tuple(IndexKind)
+        values = index_values(kinds, y)
+        for kind, row in zip(kinds, values):
+            assert row.shape == (300,)
+            for j in range(300):
+                assert row[j] == pytest.approx(compute_index(kind, y[:, j]), rel=1e-11, abs=1e-12)
 
 
 class TestBlockEngine:
@@ -60,15 +72,28 @@ class TestBlockEngine:
         columns = []
 
         def stat(y):
-            col = index_values(IndexKind.THEIL_T, y)
-            columns.append(col[:, 0])
-            return col
+            [col] = index_values((IndexKind.THEIL_T,), y)
+            columns.append(col)
+            return [col]
 
         mean, cov = _block_moments(GammaParams(1.5, 2.0), 4, 103_457, RngStream(3, 0), stat, 1)
         assert [c.size for c in columns] == [25_000] * 4 + [3_457]
         column = np.concatenate(columns)
         assert mean[0] == pytest.approx(np.mean(column), rel=1e-12)
         assert cov[0, 0] == pytest.approx(np.var(column, ddof=1), rel=1e-12)
+
+    def test_block_samples_hold_consecutive_draws(self):
+        blocks = []
+
+        def stat(y):
+            blocks.append(y)
+            return [y[0]]
+
+        _block_moments(GammaParams(1.5), 3, 10_000, RngStream(8, 0), stat, 1)
+        [y] = blocks
+        draws = gamma_variates(RngStream(8, 0).spawn(0), GammaParams(1.5), 30_000)
+        assert y.flags.c_contiguous
+        assert np.array_equal(y, draws.reshape(10_000, 3).T)  # column i: draws 3i .. 3i + 2
 
 
 class TestDebiasAffine:
