@@ -86,7 +86,9 @@ def pop_gini(params: GammaParams) -> float:
 def pop_theil(params: GammaParams) -> float:
     """Population Theil T index; depends on the shape only."""
     a = params.alpha
-    return digamma(a) + 1.0 / a - math.log(a)
+    # psi(a) + 1/a - log(a), about 1/(2a): summed without the cancellation
+    # between psi(a) and log(a).
+    return 1.0 / a - log_minus_digamma(a)
 
 
 def pop_atkinson(params: GammaParams) -> float:
@@ -137,12 +139,13 @@ def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
 def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
     """E[T_n] for n >= 1; exactly zero at n = 1 (the formula telescopes)."""
     n = _require_n(n, IndexKind.THEIL_T.min_n, "theil expectation")
-    a = params.alpha
+    pop = pop_theil(params)
     if n == 1:
         e = 0.0
     else:
-        e = digamma(a) + 1.0 / a + math.log(n) - digamma(n * a) - 1.0 / (n * a)
-    return ExpectationResult(IndexKind.THEIL_T, n, e, pop_theil(params))
+        na = n * params.alpha
+        e = pop + log_minus_digamma(na) - 1.0 / na
+    return ExpectationResult(IndexKind.THEIL_T, n, e, pop)
 
 
 def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:

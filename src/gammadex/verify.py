@@ -1,15 +1,17 @@
 """Monte Carlo and quadrature checks of every closed form in the package.
 
-Each check produces an ``McReport``.  Every Monte Carlo check runs on one
-block engine: it draws gamma samples in fixed-size replicate blocks, one
-child stream per block (``stream_id = anchor + block index``), maps each
-block to a few statistic columns, and merges each block's count, mean
+Each check produces an ``McReport``.  Every Monte Carlo check is a job of
+one block engine: it draws gamma samples in fixed-size replicate blocks,
+one child stream per block (``stream_id = anchor + block index``), maps
+each block to a few statistics, and merges each block's count, mean
 vector and centered co-moment matrix (Chan, Golub & LeVeque 1979) in
 block order.  A block of size-n samples is an ``(n, samples)`` array, one
 sample of consecutive draws per column, so the statistics reduce over the
-short axis 0 with operations on whole rows.  A block's partials depend
-only on its stream, and the merge order is fixed, so results are
-bit-identical regardless of how many workers execute the blocks.
+short axis 0 with operations on whole rows.  One pool of worker threads
+runs every block of every job in a call, so the pool does not idle
+between checks.  A block's partials depend only on its stream, and each
+job's merge order is fixed, so results are bit-identical regardless of
+how many workers execute the blocks.
 Quadrature and enumeration checks reuse the same report shape with
 ``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
 standard error so the pass rule ``|z_score| <= z_max`` applies uniformly.
@@ -33,7 +35,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,76 +152,118 @@ def _debias_affine(kind: IndexKind, params: GammaParams, n: int) -> tuple[float,
     return d0, d1 - d0
 
 
-def _block_moments(
-    params: GammaParams,
-    n: int,
-    reps: int,
-    rng: RngStream,
-    stat: Callable[[np.ndarray], Sequence[np.ndarray]],
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and sample covariance matrix of ``stat`` over ``reps`` samples.
+@dataclass(frozen=True)
+class _Job:
+    """One Monte Carlo check: its draws, its statistic columns and its report.
 
-    Block b holds the next 25k samples of size n (fewer in the last block),
-    drawn from child stream b of ``rng``.  The block is an ``(n, size_b)``
-    array with one sample per column, so the statistics reduce over axis 0;
-    column i holds draws i*n to i*n + n - 1 of the block's stream.  ``stat``
-    maps the block to k statistics, each one value per sample.  Block
-    partials are merged in block order, whichever worker produced them.
+    ``reps`` samples of size n are drawn in blocks from child streams of
+    ``rng``; ``stat`` maps a block to k statistic columns, and ``finish``
+    turns the merged mean vector and sample covariance matrix into the
+    check's result.
     """
-    sizes = [min(_BLOCK_SIZE, reps - start) for start in range(0, reps, _BLOCK_SIZE)]
-    workers = min(workers, len(sizes))
 
-    def one_block(b: int) -> tuple[np.ndarray, np.ndarray]:
-        y = gamma_variates(rng.spawn(b), params, sizes[b] * n).reshape(sizes[b], n).T.copy()
-        x = np.stack(stat(y), axis=1)
-        mean = x.mean(axis=0)
-        dev = x - mean
-        return mean, np.einsum("ij,ik->jk", dev, dev)
+    params: GammaParams
+    n: int
+    reps: int
+    rng: RngStream
+    stat: Callable[[np.ndarray], Sequence[np.ndarray]]
+    finish: Callable[[np.ndarray, np.ndarray], object]
 
-    if workers == 1:
-        partials = map(one_block, range(len(sizes)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, range(len(sizes))))
-    count, mean, comoment = 0, 0.0, 0.0
-    for size, (block_mean, block_comoment) in zip(sizes, partials):
-        total = count + size
-        delta = block_mean - mean
-        mean = mean + delta * (size / total)
-        comoment = comoment + block_comoment + np.outer(delta, delta) * (count * size / total)
-        count = total
-    return mean, comoment / (count - 1)
+    def blocks(self) -> range:
+        return range(0, self.reps, _BLOCK_SIZE)
 
 
-def _index_reports(
+def _one_block(job: _Job, start: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(size, mean vector, centered co-moment matrix) of the block at ``start``.
+
+    The block holds the next 25k samples of size n (fewer in the last
+    block), drawn from child stream ``start // 25k`` of the job's stream.  It
+    is an ``(n, size)`` array with one sample per column, so the statistics
+    reduce over axis 0; column i holds draws i*n to i*n + n - 1 of the
+    block's stream.
+    """
+    size = min(_BLOCK_SIZE, job.reps - start)
+    rng = job.rng.spawn(start // _BLOCK_SIZE)
+    y = gamma_variates(rng, job.params, size * job.n).reshape(size, job.n).T.copy()
+    x = np.stack(job.stat(y))  # (k, size): one statistic per row
+    mean = x.mean(axis=1)
+    dev = x - mean[:, None]
+    # einsum, not BLAS: a BLAS dot may split its sum over a thread count.
+    return size, mean, np.einsum("ji,ki->jk", dev, dev)
+
+
+def _merge(jobs: Sequence[_Job], partials: Iterator[tuple]) -> list:
+    """``job.finish(mean, cov)`` of each job from its block partials, in block order."""
+    results = []
+    for job in jobs:
+        count, mean, comoment = 0, 0.0, 0.0
+        for _ in job.blocks():
+            size, block_mean, block_comoment = next(partials)
+            total = count + size
+            delta = block_mean - mean
+            mean = mean + delta * (size / total)
+            comoment = comoment + block_comoment + np.outer(delta, delta) * (count * size / total)
+            count = total
+        results.append(job.finish(mean, comoment / (count - 1)))
+    return results
+
+
+def _run_jobs(jobs: Sequence[_Job], workers: int) -> list:
+    """``job.finish(mean, cov)`` of each job, every block on one pool.
+
+    Every block of every job is submitted at once, in job order and block
+    order, to one pool of ``workers`` threads (none when that is 1), so no
+    worker waits at the boundary between two checks.  Each job's block
+    partials are merged in block order (Chan, Golub & LeVeque 1979),
+    whichever worker produced them, so results do not depend on
+    ``workers``.  If anything raises, the blocks not yet started are
+    cancelled and the running ones finish before the error propagates.
+    """
+    tasks = [(job, start) for job in jobs for start in job.blocks()]
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return _merge(jobs, (_one_block(job, start) for job, start in tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_one_block, job, start) for job, start in tasks]
+        try:
+            return _merge(jobs, (future.result() for future in futures))
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+def _index_job(
     kinds: tuple[IndexKind, ...],
     params: GammaParams,
     n: int,
     reps: int,
     rng: RngStream,
     z_max: float,
-    workers: int,
-) -> list[tuple[McReport, McReport]]:
-    """(raw, debiased) reports of each estimator in ``kinds`` from one simulation.
+) -> _Job:
+    """Job whose result is the (raw, debiased) reports of each estimator in ``kinds``.
 
     Every estimator is one statistic column of the same blocks.  The debias
     map is affine in the raw value, so the debiased mean and standard error
     follow from the raw ones.
     """
-    means, cov = _block_moments(params, n, reps, rng, partial(index_values, kinds), workers)
-    cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
-    pairs = []
-    for j, kind in enumerate(kinds):
-        mean, se = float(means[j]), math.sqrt(cov[j, j] / reps)
-        intercept, slope = _debias_affine(kind, params, n)
-        raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
-                      expectation(kind, params, n).expectation, z_max, family=f"mc:{kind.value}")
-        debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps, intercept + slope * mean,
-                           abs(slope) * se, population_value(kind, params), z_max,
-                           family=f"debiased:{kind.value}")
-        pairs.append((raw, debiased))
-    return pairs
+
+    def reports(means: np.ndarray, cov: np.ndarray) -> list[tuple[McReport, McReport]]:
+        cell = f"alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}"
+        pairs = []
+        for j, kind in enumerate(kinds):
+            mean, se = float(means[j]), math.sqrt(cov[j, j] / reps)
+            intercept, slope = _debias_affine(kind, params, n)
+            raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
+                          expectation(kind, params, n).expectation, z_max,
+                          family=f"mc:{kind.value}")
+            debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps,
+                               intercept + slope * mean, abs(slope) * se,
+                               population_value(kind, params), z_max,
+                               family=f"debiased:{kind.value}")
+            pairs.append((raw, debiased))
+        return pairs
+
+    return _Job(params, n, reps, rng, partial(index_values, kinds), reports)
 
 
 def mc_expectation(
@@ -241,7 +285,7 @@ def mc_expectation(
     """
     reps = _require_run(reps, z_max, workers)
     n = _require_n(n, kind.min_n, kind.value)
-    [(raw, debiased)] = _index_reports((kind,), params, n, reps, rng, z_max, workers)
+    [[(raw, debiased)]] = _run_jobs([_index_job((kind,), params, n, reps, rng, z_max)], workers)
     return debiased if debias_values else raw
 
 
@@ -249,6 +293,18 @@ def _lukacs_columns(y: np.ndarray) -> list[np.ndarray]:
     s = column_sums(y)
     r = y[0] / s
     return [r, np.abs(2.0 * r - 1.0), s]
+
+
+def _lukacs_job(params: GammaParams, n: int, reps: int, rng: RngStream, z_max: float) -> _Job:
+    def report(_, cov: np.ndarray) -> McReport:
+        corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
+        worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
+        return _report(
+            f"lukacs[alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}]",
+            n, reps, worst, 1.0 / math.sqrt(reps), 0.0, z_max, family="lukacs",
+        )
+
+    return _Job(params, n, reps, rng, _lukacs_columns, report)
 
 
 def lukacs_independence_check(
@@ -271,18 +327,23 @@ def lukacs_independence_check(
     """
     reps = _require_run(reps, z_max, workers)
     n = _require_n(n, 2, "independence check")
-    _, cov = _block_moments(params, n, reps, rng, _lukacs_columns, workers)
-    corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
-    worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
-    stderr = 1.0 / math.sqrt(reps)
-    return _report(
-        f"lukacs[alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}]",
-        n, reps, worst, stderr, 0.0, z_max, family="lukacs",
-    )
+    [report] = _run_jobs([_lukacs_job(params, n, reps, rng, z_max)], workers)
+    return report
 
 
 def _dirichlet_product(y: np.ndarray) -> list[np.ndarray]:
     return [np.exp(np.log(y / column_sums(y)).mean(axis=0))]
+
+
+def _dirichlet_job(alpha: float, n: int, reps: int, rng: RngStream, z_max: float) -> _Job:
+    def report(mean: np.ndarray, cov: np.ndarray) -> McReport:
+        target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
+        return _report(
+            f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
+            n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, z_max, family="dirichlet",
+        )
+
+    return _Job(GammaParams(alpha), n, reps, rng, _dirichlet_product, report)
 
 
 def dirichlet_product_moment_check(
@@ -302,13 +363,8 @@ def dirichlet_product_moment_check(
     """
     reps = _require_run(reps, z_max, workers)
     n = _require_n(n, 2, "product moment check")
-    params = GammaParams(alpha)
-    target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
-    mean, cov = _block_moments(params, n, reps, rng, _dirichlet_product, workers)
-    return _report(
-        f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
-        n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, z_max, family="dirichlet",
-    )
+    [report] = _run_jobs([_dirichlet_job(alpha, n, reps, rng, z_max)], workers)
+    return report
 
 
 def beta_ulogu_check(a: float, b: float) -> tuple[float, float]:
@@ -455,16 +511,24 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
         slot += 1
         return stream
 
-    # One anchor per (alpha, lambda, n) cell, shared by the four estimators;
-    # lines are emitted estimator by estimator.
+    # One anchor per (alpha, lambda, n) cell, shared by the four estimators,
+    # then one per independence and product-moment check.  Every block of
+    # every check runs on one pool.
     cells = [(alpha, lam, n) for alpha in alphas for lam in lambdas for n in ns]
+    jobs = [_index_job(MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, anchor(), cfg.z_max)
+            for alpha, lam, n in cells]
+    lukacs_reps = min(cfg.reps, LUKACS_MAX_REPS)
+    jobs += [_lukacs_job(GammaParams(alpha), n, lukacs_reps, anchor(), cfg.z_max)
+             for alpha in _keep(LUKACS_ALPHAS, cfg.alphas) for n in _keep(LUKACS_NS, cfg.ns)]
+    jobs += [_dirichlet_job(alpha, n, cfg.reps, anchor(), cfg.z_max)
+             for alpha in _keep(DIRICHLET_ALPHAS, cfg.alphas) for n in _keep(DIRICHLET_NS, cfg.ns)]
+    results = _run_jobs(jobs, cfg.workers)
+
+    # Index lines are emitted estimator by estimator.
     cell_reports: dict[tuple, tuple[McReport, McReport]] = {}
-    for alpha, lam, n in cells:
-        pairs = _index_reports(
-            MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, anchor(), cfg.z_max, cfg.workers,
-        )
+    for cell, pairs in zip(cells, results):
         for kind, pair in zip(MC_KINDS, pairs):
-            cell_reports[(kind, alpha, lam, n)] = pair
+            cell_reports[(kind, *cell)] = pair
     for kind in MC_KINDS:
         for cell in cells:
             raw, debiased = cell_reports[(kind, *cell)]
@@ -490,18 +554,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
                             0.0, cfg.z_max, family="lambda_sweep",
                         ))
 
-    for alpha in _keep(LUKACS_ALPHAS, cfg.alphas):
-        for n in _keep(LUKACS_NS, cfg.ns):
-            reports.append(lukacs_independence_check(
-                GammaParams(alpha), n, min(cfg.reps, LUKACS_MAX_REPS), anchor(),
-                z_max=cfg.z_max, workers=cfg.workers,
-            ))
-
-    for alpha in _keep(DIRICHLET_ALPHAS, cfg.alphas):
-        for n in _keep(DIRICHLET_NS, cfg.ns):
-            reports.append(dirichlet_product_moment_check(
-                alpha, n, cfg.reps, anchor(), z_max=cfg.z_max, workers=cfg.workers,
-            ))
+    reports += results[len(cells):]  # the independence and product-moment lines
 
     # Identity checks carry the agreement tolerance as a pseudo standard
     # error (tol / z_max), so "pass iff |z| <= z_max" holds for every line.

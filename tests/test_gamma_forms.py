@@ -44,6 +44,20 @@ THEIL_BIAS_MPMATH = [
     (2.0, 5, -0.049167496072675426),
 ]
 
+# pop_theil at alpha and expect_theil at (alpha, n), from
+#   mpmath.mp.dps = 50; a = mpmath.mpf(alpha); na = a * n
+#   float(mpmath.digamma(a) + 1 / a - mpmath.log(a))
+#   float(mpmath.digamma(a) + 1 / a + mpmath.log(n) - mpmath.digamma(na) - 1 / na)
+POP_THEIL_MPMATH = [
+    (5.0, 0.0966797559977001),
+    (1e4, 4.99991666666675e-05),
+    (1e6, 4.999999166666667e-07),
+]
+EXPECT_THEIL_MPMATH = [
+    (1e4, 10, 4.499917500000083e-05),
+    (5.0, 10**6, 0.09667965599770344),
+]
+
 ALPHAS = (0.5, 1.0, 2.0, 3.7, 5.0, 100.0)
 
 
@@ -84,6 +98,12 @@ class TestPopulationValues:
     @pytest.mark.parametrize(("rate", "expected"), [(1.0, 1.0), (4.0, 0.25), (0.5, 2.0)])
     def test_vmr(self, rate, expected):
         assert pop_vmr(GammaParams(1.0, rate)) == expected
+
+    @pytest.mark.parametrize(("alpha", "expected"), POP_THEIL_MPMATH)
+    def test_theil_at_large_alpha(self, alpha, expected):
+        # psi(a) + 1/a - log(a) is about 1/(2a): at a = 1e6 a difference of
+        # psi(a) and log(a) keeps only about 7 digits of it.
+        assert pop_theil(GammaParams(alpha)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_theil_large_alpha_asymptotics(self):
         # T(alpha) ~ 1/(2 alpha) - 1/(12 alpha^2) for large shape
@@ -135,6 +155,27 @@ class TestExpectations:
         assert expect_theil(GammaParams(alpha), n).expectation == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize(("alpha", "n", "expected"), EXPECT_THEIL_MPMATH)
+    def test_theil_at_large_alpha_and_n(self, alpha, n, expected):
+        assert expect_theil(GammaParams(alpha), n).expectation == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        ("alpha", "n", "expected"),
+        [(alpha, None, value) for alpha, value in POP_THEIL_MPMATH] + EXPECT_THEIL_MPMATH,
+    )
+    def test_theil_literals_match_mpmath(self, alpha, n, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            if n is None:
+                value = mpmath.digamma(a) + 1 / a - mpmath.log(a)
+            else:
+                na = a * n
+                value = mpmath.digamma(a) + 1 / a + mpmath.log(n) - mpmath.digamma(na) - 1 / na
+            assert float(value) == expected
 
     @pytest.mark.parametrize(
         ("alpha", "n", "expected"),

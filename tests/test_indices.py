@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gammadex.errors import DomainError, SizeError
 from gammadex.indices import (
@@ -22,6 +23,7 @@ from gammadex.indices import (
     theil_t,
     vmr,
 )
+from gammadex.indices import _NETWORKS, _sort_axis0
 
 # Direct evaluations of the defining formulas on tiny samples.
 THEIL_1_3 = 0.13081203594113696  # (1 ln(1/2) + 3 ln(3/2)) / 4
@@ -231,3 +233,31 @@ def test_compute_index_sums_like_fsum_over_the_array(values):
         [value] = index_values((kind,), y, math.fsum)
         assert compute_index(kind, y) == float(value)
     assert compute_indices(tuple(IndexKind), y) == {k: compute_index(k, y) for k in IndexKind}
+
+
+@pytest.mark.parametrize("n", sorted(_NETWORKS))
+def test_network_sorts_every_zero_one_column(n):
+    # The 0-1 principle: a network that sorts all 2^n columns of zeros and
+    # ones sorts every column of n values.
+    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+    assert np.array_equal(_sort_axis0(bits.astype(float)), np.sort(bits, axis=0))
+
+
+# Few distinct values, so columns have ties, next to arbitrary non-negative ones.
+block_values = st.one_of(
+    st.sampled_from([5e-324, 0.5, 1.0, 3.0, 1e300]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@pytest.mark.parametrize("n", sorted(_NETWORKS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_network_sort_is_np_sort_bit_for_bit(n, data):
+    y = data.draw(hnp.arrays(np.float64, (n, data.draw(st.integers(1, 40))), elements=block_values))
+    y = np.concatenate([y, np.full((n, 1), y[0, 0])], axis=1)  # and a constant column
+    before = y.copy()
+    got = _sort_axis0(y)
+    assert got.view(np.uint64).tolist() == np.sort(y, axis=0).view(np.uint64).tolist()
+    assert np.array_equal(y, before)  # the input block is not sorted in place
+

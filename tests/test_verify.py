@@ -2,13 +2,15 @@
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from gammadex import verify
 from gammadex.cli import _emit
-from gammadex.errors import DomainError, SizeError
+from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
 from gammadex.indices import (
     IndexKind, atkinson, compute_index, gini, index_values, theil_t, vmr,
@@ -19,8 +21,9 @@ from gammadex.verify import (
     McReport,
     VerifyConfig,
     _STREAM_STRIDE,
-    _block_moments,
+    _Job,
     _debias_affine,
+    _run_jobs,
     abs_2r_minus_1_check,
     beta_ulogu_check,
     dirichlet_product_moment_check,
@@ -65,6 +68,12 @@ class TestBatchEstimators:
             assert row.shape == (300,)
             for j in range(300):
                 assert row[j] == pytest.approx(compute_index(kind, y[:, j]), rel=1e-11, abs=1e-12)
+
+
+def _block_moments(params, n, reps, rng, stat, workers):
+    """Mean vector and sample covariance matrix of ``stat`` over one job's blocks."""
+    [moments] = _run_jobs([_Job(params, n, reps, rng, stat, lambda *m: m)], workers)
+    return moments
 
 
 class TestBlockEngine:
@@ -371,3 +380,61 @@ class TestRunVerification:
     def test_rejects_bad_run_settings(self, setting):
         with pytest.raises(DomainError):
             VerifyConfig(**setting)
+
+
+class TestSharedPool:
+    """Every block of a run goes through one pool, in a fixed merge order."""
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountedPool(verify.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", CountedPool)
+        run_verification(VerifyConfig(alphas=(1.0,), ns=(2,), reps=20_000, workers=2))
+        assert len(pools) == 1
+        run_verification(VerifyConfig(alphas=(1.0,), ns=(2,), reps=20_000, workers=1))
+        assert len(pools) == 1  # one worker runs the blocks inline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_block_stops_the_run(self, monkeypatch, workers):
+        lock = threading.Lock()
+        calls, running = [0], [0]
+        draw = verify.gamma_variates
+
+        def third_call_fails(*args):
+            with lock:
+                calls[0] += 1
+                running[0] += 1
+                call = calls[0]
+            try:
+                if call == 3:
+                    raise NumericError("third block fails")
+                return draw(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(verify, "gamma_variates", third_call_fails)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="third block fails"):
+            run_verification(VerifyConfig(reps=10_000, workers=workers))
+        assert threading.active_count() == threads  # the pool's threads are gone
+        assert running[0] == 0  # no block is still drawing
+        stopped_at = calls[0]
+        assert stopped_at < 39  # the blocks not yet started were cancelled
+        time.sleep(0.05)
+        assert calls[0] == stopped_at
+
+    def test_narrowed_run_is_identical_across_worker_counts(self):
+        def dicts(workers):
+            cfg = VerifyConfig(alphas=(0.5, 1.0), ns=(2, 5), reps=50_000, workers=workers)
+            return [r.to_dict() for r in run_verification(cfg).reports]
+
+        one = dicts(1)
+        assert sum(r["reps"] > 0 for r in one) == 56 + 12 + 4 + 4  # index, sweep, lukacs, dirichlet
+        assert dicts(2) == one
+        assert dicts(3) == one
