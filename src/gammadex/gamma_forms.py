@@ -114,11 +114,16 @@ def population_value(kind: IndexKind, params: GammaParams) -> float:
     return _POP_DISPATCH[kind](params)
 
 
+def _require_whole(value: int, rule: str) -> int:
+    """``value`` as an int; anything but a whole number is a ``DomainError`` stating ``rule``."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise DomainError(f"{rule}, got {value!r}")
+    return int(value)
+
+
 def _require_n(n: int, minimum: int, what: str) -> int:
     """Sample size ``n`` as an int; it must be a whole number and at least ``minimum``."""
-    if not (isinstance(n, int) or float(n).is_integer()):
-        raise DomainError(f"{what} needs a whole number n, got {n!r}")
-    n = int(n)
+    n = _require_whole(n, f"{what} needs a whole number n")
     if n < minimum:
         raise SizeError(f"{what} needs n >= {minimum}, got {n}")
     return n
@@ -185,8 +190,10 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     Gini is returned unchanged (already unbiased).  Theil subtracts the
     additive bias log(na) - psi(na) - 1/(na).  Atkinson rescales 1 - raw
     by exp(psi(a)) Gamma^n(a) / Gamma^n(a + 1/n).  VMR is multiplied by
-    (na + 1)/(na).  All corrections assume the shape is known (or plugged
-    in); the rate cancels out of every one of them.
+    (na + 1)/(na).  Each is one formula at every n: at n = 1, where
+    T_1 = A_1 = 0, a raw 0 maps to the population Theil exactly and to the
+    population Atkinson up to rounding.  All corrections assume the shape
+    is known (or plugged in); the rate cancels out of every one of them.
     """
     n = _require_n(n, kind.min_n, "debias")
     a = params.alpha
@@ -194,13 +201,9 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     if kind is IndexKind.GINI:
         return raw
     if kind is IndexKind.THEIL_T:
-        if n == 1:
-            return raw
         na = n * a
         return raw - (log_minus_digamma(na) - 1.0 / na)
     if kind is IndexKind.ATKINSON:
-        if n == 1:
-            return raw
         factor = math.exp(digamma(a) - _log_gamma_power_ratio(a, n))
         return 1.0 - (1.0 - raw) * factor
     na = n * a  # VMR

@@ -10,6 +10,10 @@ of the acceptance pattern and sequences replay exactly.  Each rejection
 round takes all its uniforms in one request and is evaluated in
 cache-sized slices, with the same result as one pass over the round.
 
+Each variate is drawn once, never redrawn: a shape below ``MIN_SHAPE``,
+where draws round to 0, is a ``DomainError``, and a 0 from an allowed
+shape raises ``NumericError``.
+
 Beta and Dirichlet variates are gamma ratios: X/(X+Y) for Beta(a, b),
 and a normalized vector of i.i.d. gammas for the symmetric Dirichlet.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, SizeError
+from .errors import DomainError, NumericError, SizeError
 from .gamma_forms import GammaParams, _require_n
 from .rng import RngStream
 
@@ -31,6 +35,12 @@ __all__ = [
     "dirichlet_variate",
     "dirichlet_variates",
 ]
+
+# Smallest shape the gamma sampler takes.  A draw rounds to 0 below 2^-1075,
+# and P(G < x) ~ x^alpha/Gamma(alpha + 1) for small x, so P(a draw rounds to
+# 0) ~ 2^(-1075 alpha).  At most 2^-53 per variate, the resolution of one
+# uniform, needs alpha >= 53/1075, about 0.0493.
+MIN_SHAPE = 53 / 1075
 
 # Cap on refill passes of a rejection loop; hitting it means the PRNG or
 # the parameters are broken in a way worth a loud diagnostic.
@@ -124,7 +134,16 @@ def _gamma_unit_rate(rng: RngStream, alpha: float, size: int) -> np.ndarray:
     )
 
 
-def _gamma_draw(rng: RngStream, alpha: float, rate: float, size: int) -> np.ndarray:
+def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray:
+    """size i.i.d. gamma(shape=alpha, rate) variates; alpha >= ``MIN_SHAPE``."""
+    alpha = params.alpha
+    if alpha < MIN_SHAPE:
+        raise DomainError(f"gamma sampler needs alpha >= {MIN_SHAPE:.6g}, got {alpha}")
+    size = int(size)
+    if size < 0:
+        raise SizeError(f"size must be non-negative, got {size}")
+    if size == 0:
+        return np.empty(0)
     if alpha >= 1.0:
         out = _gamma_unit_rate(rng, alpha, size)
     else:
@@ -133,26 +152,10 @@ def _gamma_draw(rng: RngStream, alpha: float, rate: float, size: int) -> np.ndar
         np.subtract(1.0, boost, out=boost)  # (0, 1]
         boost **= 1.0 / alpha
         out *= boost
-    out /= rate
+    out /= params.rate
+    if not out.all():
+        raise NumericError(f"a gamma variate rounded to 0 (alpha={alpha}, rate={params.rate})")
     return out
-
-
-def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray:
-    """size i.i.d. gamma(shape=alpha, rate) variates, strictly positive."""
-    size = int(size)
-    if size < 0:
-        raise SizeError(f"size must be non-negative, got {size}")
-    if size == 0:
-        return np.empty(0)
-    out = _gamma_draw(rng, params.alpha, params.rate, size)
-    # Subnormal underflow to exact zero is possible for tiny shapes;
-    # regenerate those slots rather than emit an invalid variate.
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        bad = np.flatnonzero(out <= 0.0)
-        if bad.size == 0:
-            return out
-        out[bad] = _gamma_draw(rng, params.alpha, params.rate, bad.size)
-    raise NumericError(f"gamma sampler kept underflowing to zero (alpha={params.alpha})")
 
 
 def gamma_variate(rng: RngStream, params: GammaParams) -> float:

@@ -31,7 +31,9 @@ agree exactly across rates and the rate sweep would test nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,6 +46,7 @@ from .gamma_forms import (
     GammaParams,
     _log_gamma_power_ratio,
     _require_n,
+    _require_whole,
     debias,
     expectation,
     pop_gini,
@@ -119,15 +122,16 @@ class McReport:
         }
 
 
-def _require_run(reps: int, z_max: float, workers: int) -> int:
-    """``reps`` as an int, once every Monte Carlo run setting is checked."""
-    reps = int(reps)
+def _require_run(reps: int, z_max: float, workers: int) -> tuple[int, int]:
+    """``(reps, workers)`` as ints, once every Monte Carlo run setting is checked."""
+    reps = _require_whole(reps, "reps must be a whole number")
     if reps < MIN_REPS:
         raise SizeError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {reps}")
     _require_positive(z_max, "z_max")
+    workers = _require_whole(workers, "workers must be a whole number")
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-    return reps
+    return reps, workers
 
 
 def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
@@ -212,7 +216,7 @@ def _run_jobs(jobs: Sequence[_Job], workers: int) -> list:
     """``job.finish(mean, cov)`` of each job, every block on one pool.
 
     Every block of every job is submitted at once, in job order and block
-    order, to one pool of ``workers`` threads (none when that is 1), so no
+    order, to one pool of ``workers`` threads, whatever their number, so no
     worker waits at the boundary between two checks.  Each job's block
     partials are merged in block order (Chan, Golub & LeVeque 1979),
     whichever worker produced them, so results do not depend on
@@ -220,10 +224,7 @@ def _run_jobs(jobs: Sequence[_Job], workers: int) -> list:
     cancelled and the running ones finish before the error propagates.
     """
     tasks = [(job, start) for job in jobs for start in job.blocks()]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return _merge(jobs, (_one_block(job, start) for job, start in tasks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks)) or 1) as pool:
         futures = [pool.submit(_one_block, job, start) for job, start in tasks]
         try:
             return _merge(jobs, (future.result() for future in futures))
@@ -283,7 +284,7 @@ def mc_expectation(
     the mean is compared against the population value instead of the
     finite-sample expectation.
     """
-    reps = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, z_max, workers)
     n = _require_n(n, kind.min_n, kind.value)
     [[(raw, debiased)]] = _run_jobs([_index_job((kind,), params, n, reps, rng, z_max)], workers)
     return debiased if debias_values else raw
@@ -325,7 +326,7 @@ def lukacs_independence_check(
     normalized magnitude and passes only if both are within
     ``z_max / sqrt(reps)``.
     """
-    reps = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, z_max, workers)
     n = _require_n(n, 2, "independence check")
     [report] = _run_jobs([_lukacs_job(params, n, reps, rng, z_max)], workers)
     return report
@@ -361,7 +362,7 @@ def dirichlet_product_moment_check(
     product moment of the Dirichlet vector obtained by normalizing n
     i.i.d. gamma variates.
     """
-    reps = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, z_max, workers)
     n = _require_n(n, 2, "product moment check")
     [report] = _run_jobs([_dirichlet_job(alpha, n, reps, rng, z_max)], workers)
     return report
@@ -448,7 +449,9 @@ class VerifyConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _require_run(self.reps, self.z_max, self.workers)
+        reps, workers = _require_run(self.reps, self.z_max, self.workers)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "workers", workers)
         _require_u64(self.seed, "seed")
         for name, grid in (
             ("alphas", MC_ALPHAS + LUKACS_ALPHAS + DIRICHLET_ALPHAS),
@@ -502,36 +505,28 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
     alphas = _keep(MC_ALPHAS, cfg.alphas)
     lambdas = _keep(MC_LAMBDAS, cfg.lambdas)
     ns = _keep(MC_NS, cfg.ns)
-    reports: list[McReport] = []
-    slot = 0
-
-    def anchor() -> RngStream:
-        nonlocal slot
-        stream = RngStream(cfg.seed, slot * _STREAM_STRIDE)
-        slot += 1
-        return stream
+    anchors = (RngStream(cfg.seed, slot * _STREAM_STRIDE) for slot in itertools.count())
 
     # One anchor per (alpha, lambda, n) cell, shared by the four estimators,
     # then one per independence and product-moment check.  Every block of
     # every check runs on one pool.
     cells = [(alpha, lam, n) for alpha in alphas for lam in lambdas for n in ns]
-    jobs = [_index_job(MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, anchor(), cfg.z_max)
+    jobs = [_index_job(MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, next(anchors), cfg.z_max)
             for alpha, lam, n in cells]
     lukacs_reps = min(cfg.reps, LUKACS_MAX_REPS)
-    jobs += [_lukacs_job(GammaParams(alpha), n, lukacs_reps, anchor(), cfg.z_max)
+    jobs += [_lukacs_job(GammaParams(alpha), n, lukacs_reps, next(anchors), cfg.z_max)
              for alpha in _keep(LUKACS_ALPHAS, cfg.alphas) for n in _keep(LUKACS_NS, cfg.ns)]
-    jobs += [_dirichlet_job(alpha, n, cfg.reps, anchor(), cfg.z_max)
+    jobs += [_dirichlet_job(alpha, n, cfg.reps, next(anchors), cfg.z_max)
              for alpha in _keep(DIRICHLET_ALPHAS, cfg.alphas) for n in _keep(DIRICHLET_NS, cfg.ns)]
     results = _run_jobs(jobs, cfg.workers)
+    # cell -> the (raw, debiased) report pair of each estimator, in MC_KINDS order
+    by_cell = dict(zip(cells, results))
 
     # Index lines are emitted estimator by estimator.
-    cell_reports: dict[tuple, tuple[McReport, McReport]] = {}
-    for cell, pairs in zip(cells, results):
-        for kind, pair in zip(MC_KINDS, pairs):
-            cell_reports[(kind, *cell)] = pair
-    for kind in MC_KINDS:
+    reports: list[McReport] = []
+    for j, kind in enumerate(MC_KINDS):
         for cell in cells:
-            raw, debiased = cell_reports[(kind, *cell)]
+            raw, debiased = by_cell[cell][j]
             reports.append(raw)
             if kind is not IndexKind.GINI:
                 reports.append(debiased)
@@ -541,11 +536,12 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
     if len(lambdas) >= 2:
         base, *others = lambdas
         for kind in (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON):
+            j = MC_KINDS.index(kind)
             for alpha in alphas:
                 for lam in others:
                     for n in ns:
-                        r1 = cell_reports[(kind, alpha, base, n)][0]
-                        r2 = cell_reports[(kind, alpha, lam, n)][0]
+                        r1 = by_cell[(alpha, base, n)][j][0]
+                        r2 = by_cell[(alpha, lam, n)][j][0]
                         se = math.hypot(r1.mc_stderr, r2.mc_stderr)
                         reports.append(_report(
                             f"lambda_sweep:{kind.value}[alpha={_fmt(alpha)},"
@@ -581,15 +577,9 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
             population, 0.0, enumerated == population, family="two_point",
         ))
 
-    family_sizes: dict[str, int] = {}
-    failures_by_family: dict[str, int] = {}
-    for r in reports:
-        family_sizes[r.family] = family_sizes.get(r.family, 0) + 1
-        if not r.passed:
-            failures_by_family[r.family] = failures_by_family.get(r.family, 0) + 1
+    sizes = Counter(r.family for r in reports)
+    failures = Counter(r.family for r in reports if not r.passed)
     failed_families = sorted(
-        fam
-        for fam, count in failures_by_family.items()
-        if count > _family_allowance(fam, family_sizes[fam])
+        fam for fam, count in failures.items() if count > _family_allowance(fam, sizes[fam])
     )
     return VerificationOutcome(reports, not failed_families, failed_families)

@@ -447,6 +447,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert err.startswith("USAGE_ERROR:")
 
+    @pytest.mark.parametrize("alpha", ["0.5", "1", "2", "5"])
+    @pytest.mark.parametrize("index", ["theil", "atkinson"])
+    def test_debiased_single_observation_passes(self, capsys, index, alpha):
+        # T_1 = A_1 = 0: every debiased replicate is the population value, up to rounding
+        code, out, _ = run_cli(
+            capsys, "simulate", "--index", index, "--alpha", alpha, "--n", "1",
+            "--reps", "10000", "--debias",
+        )
+        doc = json.loads(out)
+        assert code == EXIT_OK
+        assert doc["pass"] is True and doc["mc_stderr"] == 0.0
+
     def test_index_required(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "1", "--n", "2", "--reps", "20000"

@@ -261,6 +261,14 @@ class TestDebias:
         debiased = debias(IndexKind.THEIL_T, GammaParams(1.0), 2, EXPECT_THEIL_1_2)
         assert debiased == pytest.approx(1.0 - EULER_GAMMA, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
+    def test_n1_maps_zero_to_population(self, alpha):
+        # T_1 = A_1 = 0 for every sample, so E[debias] = population needs
+        # debias(0) = population at n = 1, from the same formula as every n.
+        p = GammaParams(alpha, 1.7)
+        assert debias(IndexKind.THEIL_T, p, 1, 0.0) == pop_theil(p)
+        assert debias(IndexKind.ATKINSON, p, 1, 0.0) == pytest.approx(pop_atkinson(p), abs=1e-15)
+
     @pytest.mark.parametrize(("alpha", "n", "bias"), THEIL_BIAS_MPMATH)
     def test_theil_bias_term_at_large_na(self, alpha, n, bias):
         # debias subtracts log(na) - psi(na) - 1/(na), which at na = 5e9 is

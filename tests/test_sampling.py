@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gammadex.errors import SizeError
+from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import GammaParams
 from gammadex.rng import RngStream
 from gammadex.sampling import (
     _CHUNK,
+    MIN_SHAPE,
     beta_variate,
     beta_variates,
     dirichlet_variate,
@@ -62,7 +63,7 @@ def _ref_unit_rate(rng, alpha, size):
     return out
 
 
-def _ref_draw(rng, alpha, rate, size):
+def _ref_gamma_variates(rng, alpha, rate, size):
     if alpha >= 1.0:
         out = _ref_unit_rate(rng, alpha, size)
     else:
@@ -71,16 +72,15 @@ def _ref_draw(rng, alpha, rate, size):
     return out / rate
 
 
-def _ref_gamma_variates(rng, alpha, rate, size):
-    out = _ref_draw(rng, alpha, rate, size)
-    while (bad := np.flatnonzero(out <= 0.0)).size:
-        out[bad] = _ref_draw(rng, alpha, rate, bad.size)
-    return out
-
-
 def _band(values, target, k=4.0):
     se = values.std(ddof=1) / math.sqrt(len(values))
     assert abs(values.mean() - target) < k * se, (values.mean(), target, se)
+
+
+def _ks_statistic(cdf):
+    """Kolmogorov-Smirnov distance of the sorted CDF values ``cdf`` from uniform."""
+    i = np.arange(1, len(cdf) + 1)
+    return max(np.max(i / len(cdf) - cdf), np.max(cdf - (i - 1) / len(cdf)))
 
 
 class TestGamma:
@@ -97,10 +97,32 @@ class TestGamma:
 
     def test_exponential_ks(self):
         g = np.sort(gamma_variates(RngStream(7, 0), GammaParams(1.0, 1.0), 10**5))
-        cdf = -np.expm1(-g)
-        i = np.arange(1, len(g) + 1)
-        ks = max(np.max(i / len(g) - cdf), np.max(cdf - (i - 1) / len(g)))
-        assert ks < KS_CRIT_0001 / math.sqrt(len(g))
+        assert _ks_statistic(-np.expm1(-g)) < KS_CRIT_0001 / math.sqrt(len(g))
+
+    @pytest.mark.parametrize(
+        ("alpha", "rate"),
+        [
+            pytest.param(MIN_SHAPE, 1.0, id="MIN_SHAPE-1.0"),
+            (0.1, 2.5), (0.5, 1.0), (1.0, 0.3), (5.0, 1.0), (1e3, 4.0),
+        ],
+    )
+    def test_probability_integral_transform_is_uniform(self, alpha, rate):
+        """P(alpha, G * rate) of exact gamma draws is uniform on (0, 1)."""
+        mpmath = pytest.importorskip("mpmath")
+        g = gamma_variates(RngStream(5021, 0), GammaParams(alpha, rate), 2_000)
+        u = np.sort([float(mpmath.gammainc(alpha, 0, x * rate, regularized=True)) for x in g])
+        assert _ks_statistic(u) < KS_CRIT_0001 / math.sqrt(len(u))
+
+    def test_shape_below_min_shape_draws_nothing(self):
+        rng = RngStream(8, 1)
+        with pytest.raises(DomainError, match="alpha >= "):
+            gamma_variates(rng, GammaParams(math.nextafter(MIN_SHAPE, 0.0)), 10)
+        assert rng.uniforms(5).tobytes() == RngStream(8, 1).uniforms(5).tobytes()
+
+    def test_a_variate_that_rounds_to_zero_is_an_error(self):
+        # At this rate about 7% of the draws round to 0.
+        with pytest.raises(NumericError, match="rounded to 0"):
+            gamma_variates(RngStream(8, 2), GammaParams(MIN_SHAPE, 1e300), 1_000)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 3.7])
     def test_strictly_positive(self, alpha):
@@ -125,16 +147,9 @@ class TestGamma:
     @pytest.mark.parametrize(
         ("alpha", "rate"),
         [
-            pytest.param(
-                0.003,
-                1.0,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="draws that underflow to 0 are redrawn, so the sampler draws "
-                    "G given G > 0 and E[log G] is biased upward at tiny shapes",
-                ),
-            ),
+            (0.003, 1.0),
             (0.01, 1.0),
+            pytest.param(MIN_SHAPE, 1.0, id="MIN_SHAPE-1.0"),
             (0.05, 2.0),
             (0.5, 1.0),
             (2.0, 3.0),
@@ -142,11 +157,18 @@ class TestGamma:
         ],
     )
     def test_mean_log_is_digamma_minus_log_rate(self, alpha, rate):
-        """E[log G] = psi(alpha) - log(rate): exactness in distribution, down to tiny shapes."""
+        """E[log G] = psi(alpha) - log(rate) at every shape the sampler draws.
+
+        Below ``MIN_SHAPE`` it refuses the shape rather than draw G given G > 0.
+        """
+        if alpha < MIN_SHAPE:
+            with pytest.raises(DomainError):
+                gamma_variates(RngStream(2718, 0), GammaParams(alpha, rate), 200_000)
+            return
         g = gamma_variates(RngStream(2718, 0), GammaParams(alpha, rate), 200_000)
         _band(np.log(g), digamma(alpha) - math.log(rate))
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 3.7, 5.0])
+    @pytest.mark.parametrize("alpha", [pytest.param(MIN_SHAPE, id="MIN_SHAPE"), 0.5, 1.0, 3.7, 5.0])
     @pytest.mark.parametrize("size", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 500_001])
     def test_bit_identical_to_whole_round_reference(self, alpha, size):
         got = gamma_variates(RngStream(404, 9), GammaParams(alpha, 1.5), size)

@@ -162,6 +162,10 @@ class TestMcExpectation:
         with pytest.raises(SizeError):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 5, 100, RngStream(1))
 
+    def test_rejects_non_whole_reps(self):
+        with pytest.raises(DomainError, match="reps must be a whole number"):
+            mc_expectation(IndexKind.GINI, GammaParams(1.0), 5, 10_000.9, RngStream(1))
+
     def test_rejects_small_n(self):
         with pytest.raises(SizeError):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 1, 20_000, RngStream(1))
@@ -375,11 +379,57 @@ class TestRunVerification:
             VerifyConfig(reps=9_999)
 
     @pytest.mark.parametrize(
-        "setting", [{"workers": 0}, {"seed": -1}], ids=["workers=0", "seed=-1"]
+        "setting",
+        [{"workers": 0}, {"seed": -1}, {"reps": 10_000.9}, {"workers": 1.5}],
+        ids=["workers=0", "seed=-1", "reps=10000.9", "workers=1.5"],
     )
     def test_rejects_bad_run_settings(self, setting):
         with pytest.raises(DomainError):
             VerifyConfig(**setting)
+
+    def test_whole_float_reps_is_the_int(self):
+        def dicts(reps):
+            cfg = VerifyConfig(alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=reps)
+            assert type(cfg.reps) is int
+            return [r.to_dict() for r in run_verification(cfg).reports]
+
+        assert dicts(20_000.0) == dicts(20_000)
+
+
+class TestMultiplicityAllowance:
+    """A 24-cell Monte Carlo family tolerates one cell beyond z_max, not two."""
+
+    @staticmethod
+    def _moved(monkeypatch, cells, **narrow):
+        """Outcome of a reps=10k run with the Theil target of each cell in ``cells`` far off."""
+        exact = verify.expectation
+
+        def moved(kind, params, n):
+            r = exact(kind, params, n)
+            if kind is IndexKind.THEIL_T and (params.alpha, params.rate, n) in cells:
+                return type(r)(r.kind, r.n, r.expectation + 1.0, r.population)
+            return r
+
+        monkeypatch.setattr(verify, "expectation", moved)
+        return run_verification(VerifyConfig(reps=10_000, **narrow))
+
+    def test_one_moved_cell_is_allowed(self, monkeypatch):
+        outcome = self._moved(monkeypatch, {(2.0, 3.0, 5)})
+        assert [r.kind for r in outcome.reports if not r.passed] == [
+            "theil[alpha=2,lambda=3]"
+        ]
+        assert outcome.passed and outcome.failed_families == []
+
+    def test_two_moved_cells_fail_the_family(self, monkeypatch):
+        outcome = self._moved(monkeypatch, {(2.0, 3.0, 5), (0.5, 1.0, 20)})
+        assert outcome.n_failed == 2
+        assert not outcome.passed and outcome.failed_families == ["mc:theil"]
+
+    def test_narrowed_family_allows_none(self, monkeypatch):
+        outcome = self._moved(monkeypatch, {(2.0, 3.0, 5)}, alphas=(2.0,))
+        assert sum(r.family == "mc:theil" for r in outcome.reports) == 6
+        assert outcome.n_failed == 1
+        assert outcome.failed_families == ["mc:theil"]
 
 
 class TestSharedPool:
@@ -397,7 +447,7 @@ class TestSharedPool:
         run_verification(VerifyConfig(alphas=(1.0,), ns=(2,), reps=20_000, workers=2))
         assert len(pools) == 1
         run_verification(VerifyConfig(alphas=(1.0,), ns=(2,), reps=20_000, workers=1))
-        assert len(pools) == 1  # one worker runs the blocks inline
+        assert len(pools) == 2  # one worker runs the blocks on a pool too
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_block_stops_the_run(self, monkeypatch, workers):
