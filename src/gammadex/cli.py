@@ -186,9 +186,17 @@ def _print_rows(rows: list[dict], fmt: str) -> None:
 
 
 def _emit(obj, rows: list[dict], fmt: str) -> None:
-    """Print ``obj`` as canonical JSON, or ``rows`` as a table or CSV."""
+    """Print ``obj`` as canonical JSON, or ``rows`` as a table or CSV.
+
+    ``rows`` carry the numbers of ``obj``; in every format a NaN or an
+    infinity among them is a ``NumericError`` and nothing is printed.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericError("a result is not a finite number") from None
     if fmt == "json":
-        print(json.dumps(obj, indent=2))
+        print(text)
     else:
         _print_rows(rows, fmt)
 
@@ -276,7 +284,6 @@ def cmd_simulate(args) -> int:
         args.n,
         args.reps,
         RngStream(args.seed, args.stream_id),
-        z_max=args.z_max,
         debias_values=args.debias,
         workers=args.workers,
     )
@@ -313,7 +320,6 @@ def cmd_verify(args) -> int:
         ns=grid.get("n"),
         reps=args.reps,
         seed=args.seed,
-        z_max=args.z_max,
         workers=args.workers,
     )
     outcome = run_verification(cfg)
@@ -367,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--stream-id", type=int, default=0,
                    help="base stream id; replicate blocks use consecutive ids above it")
-    p.add_argument("--z-max", type=float, default=4.0)
     p.add_argument("--debias", action="store_true", help="check the debiased estimator")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
@@ -376,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table", "csv"), default="json")
     p.add_argument("--reps", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--z-max", type=float, default=4.0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid", nargs="*", default=None,
                    help="subset the grid, e.g. --grid alpha=0.5,1 n=2")

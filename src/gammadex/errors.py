@@ -30,7 +30,7 @@ class DataError(GammadexError, ValueError):
 
 
 class NumericError(GammadexError, ArithmeticError):
-    """A numerical routine failed to converge or exhausted its iteration budget.
+    """A numerical routine failed to converge, or a result is not a finite number.
 
     The command line reports it as a numeric error (exit 4).
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, NumericError, SizeError
 from .indices import IndexKind, SampleLike, as_sample, compute_index
 from .special import _require_positive, digamma, log_gamma, log_minus_digamma
 
@@ -93,8 +93,8 @@ def pop_theil(params: GammaParams) -> float:
 
 def pop_atkinson(params: GammaParams) -> float:
     """Population Atkinson index; depends on the shape only."""
-    a = params.alpha
-    return -math.expm1(digamma(a) - math.log(a))
+    # 1 - exp(psi(a) - log(a)), with log(a) - psi(a) taken without cancellation.
+    return -math.expm1(-log_minus_digamma(params.alpha))
 
 
 def pop_vmr(params: GammaParams) -> float:
@@ -220,6 +220,8 @@ def alpha_plug_in(values: SampleLike, vmr: float | None = None) -> float:
     if s.n < 2:
         raise SizeError(f"plug-in shape estimate needs at least 2 observations, got {s.n}")
     ratio = compute_index(IndexKind.VMR, s) if vmr is None else vmr
+    if not math.isfinite(ratio):
+        raise NumericError(f"the sample's variance-to-mean ratio is not finite: {ratio}")
     if ratio == 0.0:
         raise DomainError("cannot estimate the shape from a constant sample")
     return s.mean / ratio

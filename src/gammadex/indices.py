@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, NumericError, SizeError
 
 __all__ = [
     "Sample",
@@ -163,9 +163,13 @@ def fsum(x: np.ndarray) -> float:
     """Correctly rounded sum of a 1-D array, exactly ``math.fsum(x)``.
 
     ``tolist`` hands ``math.fsum`` the same doubles as Python floats, which
-    it reads faster than numpy scalars boxed one element at a time.
+    it reads faster than numpy scalars boxed one element at a time.  A sum
+    whose partials overflow the double range is a ``NumericError``.
     """
-    return math.fsum(x.tolist())
+    try:
+        return math.fsum(x.tolist())
+    except OverflowError:
+        raise NumericError("a sum overflows the double range") from None
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:

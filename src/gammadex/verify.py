@@ -14,7 +14,8 @@ job's merge order is fixed, so results are bit-identical regardless of
 how many workers execute the blocks.
 Quadrature and enumeration checks reuse the same report shape with
 ``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
-standard error so the pass rule ``|z_score| <= z_max`` applies uniformly.
+standard error so the pass rule ``|z_score| <= Z_MAX`` applies uniformly.
+The rule is the constant ``Z_MAX``: no argument or setting changes it.
 
 ``run_verification`` executes the fixed grid below: raw estimator means
 against their exact expectations, debiased means against population
@@ -56,7 +57,7 @@ from .indices import IndexKind, column_sums, gini, index_values
 from .quadrature import integrate
 from .rng import RngStream, _require_u64
 from .sampling import gamma_variates
-from .special import _require_positive, digamma, log_beta
+from .special import digamma, log_beta
 
 __all__ = [
     "McReport",
@@ -73,6 +74,9 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 MIN_REPS = 10_000
+# The pass rule of every line with a standard error, |z_score| <= Z_MAX.
+# No argument, flag or setting changes it.
+Z_MAX = 4.0
 
 # Stream-id spacing between independent checks; blocks within a check use
 # consecutive ids above its anchor.
@@ -122,23 +126,22 @@ class McReport:
         }
 
 
-def _require_run(reps: int, z_max: float, workers: int) -> tuple[int, int]:
+def _require_run(reps: int, workers: int) -> tuple[int, int]:
     """``(reps, workers)`` as ints, once every Monte Carlo run setting is checked."""
     reps = _require_whole(reps, "reps must be a whole number")
     if reps < MIN_REPS:
         raise SizeError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {reps}")
-    _require_positive(z_max, "z_max")
     workers = _require_whole(workers, "workers must be a whole number")
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     return reps, workers
 
 
-def _report(kind, n, reps, mean, stderr, target, z_max, family="") -> McReport:
+def _report(kind, n, reps, mean, stderr, target, family="") -> McReport:
     mean, stderr, target = float(mean), float(stderr), float(target)
     if stderr > 0.0:
         z = (mean - target) / stderr
-        ok = abs(z) <= z_max
+        ok = abs(z) <= Z_MAX
     else:
         z = 0.0
         ok = abs(mean - target) <= 1e-12
@@ -239,7 +242,6 @@ def _index_job(
     n: int,
     reps: int,
     rng: RngStream,
-    z_max: float,
 ) -> _Job:
     """Job whose result is the (raw, debiased) reports of each estimator in ``kinds``.
 
@@ -255,11 +257,11 @@ def _index_job(
             mean, se = float(means[j]), math.sqrt(cov[j, j] / reps)
             intercept, slope = _debias_affine(kind, params, n)
             raw = _report(f"{kind.value}[{cell}]", n, reps, mean, se,
-                          expectation(kind, params, n).expectation, z_max,
+                          expectation(kind, params, n).expectation,
                           family=f"mc:{kind.value}")
             debiased = _report(f"{kind.value}_debiased[{cell}]", n, reps,
                                intercept + slope * mean, abs(slope) * se,
-                               population_value(kind, params), z_max,
+                               population_value(kind, params),
                                family=f"debiased:{kind.value}")
             pairs.append((raw, debiased))
         return pairs
@@ -274,7 +276,6 @@ def mc_expectation(
     reps: int,
     rng: RngStream,
     *,
-    z_max: float = 4.0,
     debias_values: bool = False,
     workers: int = 1,
 ) -> McReport:
@@ -284,9 +285,9 @@ def mc_expectation(
     the mean is compared against the population value instead of the
     finite-sample expectation.
     """
-    reps, workers = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, workers)
     n = _require_n(n, kind.min_n, kind.value)
-    [[(raw, debiased)]] = _run_jobs([_index_job((kind,), params, n, reps, rng, z_max)], workers)
+    [[(raw, debiased)]] = _run_jobs([_index_job((kind,), params, n, reps, rng)], workers)
     return debiased if debias_values else raw
 
 
@@ -296,13 +297,13 @@ def _lukacs_columns(y: np.ndarray) -> list[np.ndarray]:
     return [r, np.abs(2.0 * r - 1.0), s]
 
 
-def _lukacs_job(params: GammaParams, n: int, reps: int, rng: RngStream, z_max: float) -> _Job:
+def _lukacs_job(params: GammaParams, n: int, reps: int, rng: RngStream) -> _Job:
     def report(_, cov: np.ndarray) -> McReport:
         corr_rs, corr_as = cov[:2, 2] / np.sqrt(np.diag(cov)[:2] * cov[2, 2])
         worst = corr_rs if abs(corr_rs) >= abs(corr_as) else corr_as
         return _report(
             f"lukacs[alpha={_fmt(params.alpha)},lambda={_fmt(params.rate)}]",
-            n, reps, worst, 1.0 / math.sqrt(reps), 0.0, z_max, family="lukacs",
+            n, reps, worst, 1.0 / math.sqrt(reps), 0.0, family="lukacs",
         )
 
     return _Job(params, n, reps, rng, _lukacs_columns, report)
@@ -314,7 +315,6 @@ def lukacs_independence_check(
     reps: int,
     rng: RngStream,
     *,
-    z_max: float = 4.0,
     workers: int = 1,
 ) -> McReport:
     """Correlation between the proportion and the sum of a gamma sample.
@@ -324,11 +324,11 @@ def lukacs_independence_check(
     Both are zero in truth (the proportion is independent of the sum for
     gamma data); the report carries whichever correlation is larger in
     normalized magnitude and passes only if both are within
-    ``z_max / sqrt(reps)``.
+    ``Z_MAX / sqrt(reps)``.
     """
-    reps, workers = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, workers)
     n = _require_n(n, 2, "independence check")
-    [report] = _run_jobs([_lukacs_job(params, n, reps, rng, z_max)], workers)
+    [report] = _run_jobs([_lukacs_job(params, n, reps, rng)], workers)
     return report
 
 
@@ -336,12 +336,12 @@ def _dirichlet_product(y: np.ndarray) -> list[np.ndarray]:
     return [np.exp(np.log(y / column_sums(y)).mean(axis=0))]
 
 
-def _dirichlet_job(alpha: float, n: int, reps: int, rng: RngStream, z_max: float) -> _Job:
+def _dirichlet_job(alpha: float, n: int, reps: int, rng: RngStream) -> _Job:
     def report(mean: np.ndarray, cov: np.ndarray) -> McReport:
         target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
         return _report(
             f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
-            n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, z_max, family="dirichlet",
+            n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, family="dirichlet",
         )
 
     return _Job(GammaParams(alpha), n, reps, rng, _dirichlet_product, report)
@@ -353,7 +353,6 @@ def dirichlet_product_moment_check(
     reps: int,
     rng: RngStream,
     *,
-    z_max: float = 4.0,
     workers: int = 1,
 ) -> McReport:
     """MC mean of prod(Z_i^(1/n)) over symmetric Dirichlet draws vs closed form.
@@ -362,9 +361,9 @@ def dirichlet_product_moment_check(
     product moment of the Dirichlet vector obtained by normalizing n
     i.i.d. gamma variates.
     """
-    reps, workers = _require_run(reps, z_max, workers)
+    reps, workers = _require_run(reps, workers)
     n = _require_n(n, 2, "product moment check")
-    [report] = _run_jobs([_dirichlet_job(alpha, n, reps, rng, z_max)], workers)
+    [report] = _run_jobs([_dirichlet_job(alpha, n, reps, rng)], workers)
     return report
 
 
@@ -433,7 +432,7 @@ def two_point_remark_check(a: float, b: float) -> tuple[float, float]:
 class VerifyConfig:
     """Settings of ``run_verification``, every one checked at construction.
 
-    A bad ``reps``, ``seed``, ``z_max`` or ``workers`` fails here, before
+    A bad ``reps``, ``seed`` or ``workers`` fails here, before
     anything is drawn, whatever the grid.  ``alphas``, ``lambdas`` and ``ns``
     narrow the fixed grid: ``None`` keeps it whole, a tuple keeps only the
     listed values in every Monte Carlo family.  A value found in no family's
@@ -445,11 +444,10 @@ class VerifyConfig:
     ns: tuple[int, ...] | None = None
     reps: int = 200_000
     seed: int = DEFAULT_SEED
-    z_max: float = 4.0
     workers: int = 1
 
     def __post_init__(self) -> None:
-        reps, workers = _require_run(self.reps, self.z_max, self.workers)
+        reps, workers = _require_run(self.reps, self.workers)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "workers", workers)
         _require_u64(self.seed, "seed")
@@ -479,7 +477,7 @@ class VerificationOutcome:
         return sum(not r.passed for r in self.reports)
 
 
-# Families where a single cell beyond z_max is tolerated (multiple-testing
+# Families where a single cell beyond Z_MAX is tolerated (multiple-testing
 # allowance over the ~24-cell Monte Carlo grids); small subset grids and all
 # identity/independence checks are strict.
 _ALLOWANCE_PREFIXES = ("mc:", "debiased:", "lambda_sweep")
@@ -498,7 +496,7 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
     Monte Carlo cells use ``config.reps`` replicates, the independence
     checks at most ``LUKACS_MAX_REPS``.  The suite passes when every
     family of checks passes; a Monte Carlo family (one estimator's grid)
-    tolerates at most one cell beyond ``z_max``, while identity,
+    tolerates at most one cell beyond ``Z_MAX``, while identity,
     independence, and enumeration checks must all pass individually.
     """
     cfg = config
@@ -511,12 +509,12 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
     # then one per independence and product-moment check.  Every block of
     # every check runs on one pool.
     cells = [(alpha, lam, n) for alpha in alphas for lam in lambdas for n in ns]
-    jobs = [_index_job(MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, next(anchors), cfg.z_max)
+    jobs = [_index_job(MC_KINDS, GammaParams(alpha, lam), n, cfg.reps, next(anchors))
             for alpha, lam, n in cells]
     lukacs_reps = min(cfg.reps, LUKACS_MAX_REPS)
-    jobs += [_lukacs_job(GammaParams(alpha), n, lukacs_reps, next(anchors), cfg.z_max)
+    jobs += [_lukacs_job(GammaParams(alpha), n, lukacs_reps, next(anchors))
              for alpha in _keep(LUKACS_ALPHAS, cfg.alphas) for n in _keep(LUKACS_NS, cfg.ns)]
-    jobs += [_dirichlet_job(alpha, n, cfg.reps, next(anchors), cfg.z_max)
+    jobs += [_dirichlet_job(alpha, n, cfg.reps, next(anchors))
              for alpha in _keep(DIRICHLET_ALPHAS, cfg.alphas) for n in _keep(DIRICHLET_NS, cfg.ns)]
     results = _run_jobs(jobs, cfg.workers)
     # cell -> the (raw, debiased) report pair of each estimator, in MC_KINDS order
@@ -547,27 +545,27 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerificationOutco
                             f"lambda_sweep:{kind.value}[alpha={_fmt(alpha)},"
                             f"lambda={_fmt(base)}vs{_fmt(lam)}]",
                             n, r1.reps + r2.reps, r2.mc_mean - r1.mc_mean, se,
-                            0.0, cfg.z_max, family="lambda_sweep",
+                            0.0, family="lambda_sweep",
                         ))
 
     reports += results[len(cells):]  # the independence and product-moment lines
 
     # Identity checks carry the agreement tolerance as a pseudo standard
-    # error (tol / z_max), so "pass iff |z| <= z_max" holds for every line.
-    quad_se = QUAD_TOLERANCE / cfg.z_max
+    # error (tol / Z_MAX), so "pass iff |z| <= Z_MAX" holds for every line.
+    quad_se = QUAD_TOLERANCE / Z_MAX
     for a in ULOGU_SHAPES:
         for b in ULOGU_SHAPES:
             closed, quad = beta_ulogu_check(a, b)
             reports.append(_report(
                 f"beta_ulogu[a={_fmt(a)},b={_fmt(b)}]", 0, 0, quad, quad_se,
-                closed, cfg.z_max, family="quad_identity",
+                closed, family="quad_identity",
             ))
 
     for alpha in ABS2R_ALPHAS:
         closed, quad = abs_2r_minus_1_check(alpha)
         reports.append(_report(
             f"abs_2r_minus_1[alpha={_fmt(alpha)}]", 0, 0, quad, quad_se,
-            closed, cfg.z_max, family="quad_identity",
+            closed, family="quad_identity",
         ))
 
     for a, b in TWO_POINT_CASES:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammadex import verify
 from gammadex.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
@@ -396,6 +398,36 @@ class TestPopulation:
         assert doc["values"]["gini"] == pytest.approx(0.5, rel=1e-12)
 
 
+class TestNonFiniteResult:
+    """A NaN or an infinity is a numeric error (exit 4) and never reaches stdout."""
+
+    @staticmethod
+    def _numeric_error(code, out, err):
+        assert code == EXIT_NUMERIC
+        assert err.startswith("NUMERIC_ERROR:")
+        assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_population_at_a_subnormal_shape(self, capsys, fmt):
+        # pop_theil is 1/alpha - (log alpha - psi(alpha)) = inf - inf there
+        self._numeric_error(*run_cli(
+            capsys, "population", "--alpha", "1e-320", "--lambda", "1", "--format", fmt,
+        ))
+
+    @pytest.mark.parametrize("debias", [[], ["--debias"]], ids=["raw", "debias"])
+    def test_vmr_overflow(self, capsys, tmp_path, debias):
+        p = tmp_path / "big.txt"
+        p.write_text("1e200\n2e200\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = run_cli(capsys, "compute", "--index", "all", "--input", str(p), *debias)
+        self._numeric_error(*result)
+
+    def test_sum_overflow(self, capsys, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("1e308\n1e308\n")
+        self._numeric_error(*run_cli(capsys, "compute", "--index", "all", "--input", str(p)))
+
+
 class TestExpect:
     def test_theil_spot(self, capsys):
         code, out, _ = run_cli(
@@ -482,11 +514,6 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         ["population", "--index", "vmr", "--alpha", "1", "--lambda", "0"],
         [*NARROW_VERIFY_ARGS, "--workers", "0"],
         [*NARROW_VERIFY_ARGS, "--workers", "-3"],
-        [*SIMULATE_ARGS, "--index", "gini", "--z-max", "-1"],
-        [*SIMULATE_ARGS, "--index", "gini", "--z-max", "inf"],
-        [*NARROW_VERIFY_ARGS, "--z-max", "inf"],
-        ["verify", "--z-max", "0", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
-        ["verify", "--z-max", "nan", "--grid", "alpha=3.7", "n=3", "--reps", "10000"],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--workers", "0"],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--seed", "-1"],
     ],
@@ -497,6 +524,17 @@ def test_bad_flag_is_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert err.startswith("USAGE_ERROR:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [[*SIMULATE_ARGS, "--index", "gini"], NARROW_VERIFY_ARGS], ids=["simulate", "verify"]
+)
+def test_z_max_is_not_a_flag(capsys, argv):
+    """The pass rule is the constant verify.Z_MAX; no flag loosens it."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv, "--z-max", "100")
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --z-max 100" in capsys.readouterr().err
 
 
 VERIFY_ARGS = [
@@ -520,8 +558,9 @@ class TestVerify:
         _, out3, _ = run_cli(capsys, *VERIFY_ARGS, "--workers", "3")
         assert out1 == out3
 
-    def test_tight_z_max_fails(self, capsys):
-        code, out, err = run_cli(capsys, *VERIFY_ARGS, "--z-max", "0.5")
+    def test_tight_z_max_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "Z_MAX", 0.5)
+        code, out, err = run_cli(capsys, *VERIFY_ARGS)
         assert code == EXIT_VERIFY_FAIL
         assert "FAIL" in err
 

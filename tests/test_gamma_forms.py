@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gammadex.errors import DomainError, SizeError
+from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import (
     ExpectationResult,
     GammaParams,
@@ -58,6 +58,17 @@ EXPECT_THEIL_MPMATH = [
     (5.0, 10**6, 0.09667965599770344),
 ]
 
+# pop_atkinson at alpha, from
+#   mpmath.mp.dps = 50; a = mpmath.mpf(alpha)
+#   float(1 - mpmath.exp(mpmath.digamma(a)) / a)
+POP_ATKINSON_MPMATH = [
+    (1.0, 0.4385405164331148),
+    (5.0, 0.09816188101662501),
+    (1e4, 4.99995833124996e-05),
+    (1e6, 4.999999583333125e-07),
+    (1e9, 4.999999999583333e-10),
+]
+
 ALPHAS = (0.5, 1.0, 2.0, 3.7, 5.0, 100.0)
 
 
@@ -104,6 +115,19 @@ class TestPopulationValues:
         # psi(a) + 1/a - log(a) is about 1/(2a): at a = 1e6 a difference of
         # psi(a) and log(a) keeps only about 7 digits of it.
         assert pop_theil(GammaParams(alpha)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(("alpha", "expected"), POP_ATKINSON_MPMATH)
+    def test_atkinson_at_large_alpha(self, alpha, expected):
+        # 1 - exp(psi(a))/a is about 1/(2a): psi(a) - log(a) as a difference
+        # keeps only about 9 digits of it at a = 1e6.
+        assert pop_atkinson(GammaParams(alpha)) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(("alpha", "expected"), POP_ATKINSON_MPMATH)
+    def test_atkinson_literals_match_mpmath(self, alpha, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            assert float(1 - mpmath.exp(mpmath.digamma(a)) / a) == expected
 
     def test_theil_large_alpha_asymptotics(self):
         # T(alpha) ~ 1/(2 alpha) - 1/(12 alpha^2) for large shape
@@ -323,6 +347,11 @@ class TestAlphaPlugIn:
     def test_rejects_singleton(self):
         with pytest.raises(SizeError):
             alpha_plug_in([3.0])
+
+    @pytest.mark.parametrize("vmr", [math.inf, math.nan])
+    def test_non_finite_vmr_is_a_numeric_error(self, vmr):
+        with pytest.raises(NumericError):
+            alpha_plug_in([1.0, 2.0], vmr)
 
 
 def test_log_space_gamma_ratio_no_overflow():

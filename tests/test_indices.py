@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gammadex.errors import DomainError, SizeError
+from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.indices import (
     IndexKind,
     Sample,
@@ -223,6 +223,13 @@ def test_one_sample_reducer_is_exactly_fsum(values, rand):
         got, want = fsum(arr), math.fsum(arr)
         assert got == want
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_overflowing_sum_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        fsum(np.array([1e308, 1e308]))
+    with pytest.raises(NumericError):
+        compute_index(IndexKind.GINI, [1e308, 1e308])
 
 
 @settings(max_examples=150)

@@ -107,10 +107,14 @@ class TestGamma:
         ],
     )
     def test_probability_integral_transform_is_uniform(self, alpha, rate):
-        """P(alpha, G * rate) of exact gamma draws is uniform on (0, 1)."""
-        mpmath = pytest.importorskip("mpmath")
-        g = gamma_variates(RngStream(5021, 0), GammaParams(alpha, rate), 2_000)
-        u = np.sort([float(mpmath.gammainc(alpha, 0, x * rate, regularized=True)) for x in g])
+        """P(alpha, G * rate) of exact gamma draws is uniform on (0, 1).
+
+        200k draws per shape detect a boost drawn at alpha + 1.1 or a
+        squeeze test off by 0.3 in log u.
+        """
+        special = pytest.importorskip("scipy.special")
+        g = gamma_variates(RngStream(5021, 0), GammaParams(alpha, rate), 200_000)
+        u = np.sort(special.gammainc(alpha, g * rate))
         assert _ks_statistic(u) < KS_CRIT_0001 / math.sqrt(len(u))
 
     def test_shape_below_min_shape_draws_nothing(self):

@@ -11,12 +11,13 @@ import pytest
 from gammadex import verify
 from gammadex.cli import _emit
 from gammadex.errors import DomainError, NumericError, SizeError
-from gammadex.gamma_forms import GammaParams, debias, expectation, population_value
+from gammadex.gamma_forms import GammaParams, debias, expectation, pop_theil, population_value
 from gammadex.indices import (
     IndexKind, atkinson, compute_index, gini, index_values, theil_t, vmr,
 )
 from gammadex.rng import RngStream
 from gammadex.sampling import dirichlet_variates, gamma_variates
+from gammadex.special import digamma
 from gammadex.verify import (
     McReport,
     VerifyConfig,
@@ -170,16 +171,6 @@ class TestMcExpectation:
         with pytest.raises(SizeError):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 1, 20_000, RngStream(1))
 
-    def test_rejects_bad_z_max_before_drawing(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("drew samples before checking z_max")
-
-        monkeypatch.setattr(verify, "gamma_variates", no_draws)
-        with pytest.raises(DomainError):
-            mc_expectation(
-                IndexKind.GINI, GammaParams(1.0), 5, 1_000_000, RngStream(1), z_max=-1.0
-            )
-
 
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf], ids=str)
 @pytest.mark.parametrize(
@@ -318,10 +309,9 @@ class TestRunVerification:
         assert "lukacs[alpha=1,lambda=1]" in kinds
         assert "two_point_remark[a=1,b=3]" in kinds
 
-    def test_impossible_z_max_fails_suite(self):
-        cfg = VerifyConfig(
-            alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=10_000, seed=11, z_max=0.01
-        )
+    def test_impossible_z_max_fails_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "Z_MAX", 0.01)
+        cfg = VerifyConfig(alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=10_000, seed=11)
         out = run_verification(cfg)
         assert not out.passed
         assert out.failed_families  # at least one family over its allowance
@@ -397,7 +387,7 @@ class TestRunVerification:
 
 
 class TestMultiplicityAllowance:
-    """A 24-cell Monte Carlo family tolerates one cell beyond z_max, not two."""
+    """A 24-cell Monte Carlo family tolerates one cell beyond Z_MAX, not two."""
 
     @staticmethod
     def _moved(monkeypatch, cells, **narrow):
@@ -430,6 +420,49 @@ class TestMultiplicityAllowance:
         assert sum(r.family == "mc:theil" for r in outcome.reports) == 6
         assert outcome.n_failed == 1
         assert outcome.failed_families == ["mc:theil"]
+
+
+def _atkinson_second_order(alpha, n):
+    """1 - exp(psi(alpha) + psi'(alpha)/(2n))/alpha, a second-order near-miss."""
+    mpmath = pytest.importorskip("mpmath")
+    return 1.0 - math.exp(digamma(alpha) + float(mpmath.psi(1, alpha)) / (2 * n)) / alpha
+
+
+class TestNearMissPower:
+    """The default draws reject textbook near-misses of the exact targets.
+
+    One run of the default seed and reps on the 12 lambda = 1 cells of each
+    estimator is compared, with no new draws, against a wrong target per
+    family: each must put more of its family's cells beyond Z_MAX than the
+    family's allowance.
+    """
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        outcome = run_verification(VerifyConfig(lambdas=(1.0,), workers=2))
+        return {(r.kind, r.n): r for r in outcome.reports}
+
+    @pytest.mark.parametrize(
+        ("kind", "wrong"),
+        [
+            (IndexKind.THEIL_T, lambda a, n: pop_theil(GammaParams(a)) - 1.0 / (2 * n * a)),
+            (IndexKind.ATKINSON, _atkinson_second_order),
+            (IndexKind.VMR, lambda a, n: 1.0 - 1.0 / (n * a)),
+            (IndexKind.VMR, lambda a, n: n * a / (n * a + 1.0) * (n - 1) / n),
+        ],
+        ids=["theil_first_order", "atkinson_second_order", "vmr_first_order", "vmr_n_for_n-1"],
+    )
+    def test_wrong_target_fails_its_family(self, reports, kind, wrong):
+        cells = [
+            (alpha, n, reports[(f"{kind.value}[alpha={alpha:g},lambda=1]", n)])
+            for alpha in verify.MC_ALPHAS for n in verify.MC_NS
+        ]
+        beyond = sum(
+            abs((r.mc_mean - wrong(alpha, n)) / r.mc_stderr) > verify.Z_MAX
+            for alpha, n, r in cells
+        )
+        assert len(cells) == 12
+        assert beyond > verify._family_allowance(f"mc:{kind.value}", len(cells))
 
 
 class TestSharedPool:
