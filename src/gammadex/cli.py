@@ -29,6 +29,8 @@ import json
 import math
 import re
 import sys
+import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +73,11 @@ def read_sample(path: str, column: str | None = None) -> Sample:
     UTF-8") is dropped.  CSV mode is selected by the ``--column`` flag, or
     when the first non-blank line holds a comma or is not a number (a lone
     header); that line is the header, and the default column name is ``y``.
-    Bytes that are not UTF-8, or a missing, non-numeric, non-finite or
-    non-positive value, abort the run with a ``DataError`` that names the
-    first bad physical line.
+    A value is read as ``float(text.strip())``: a valid file by one
+    ``np.loadtxt`` call (numpy's C reader), and a file that reader rejects
+    by one float() per value.  Bytes that are not UTF-8, or a missing,
+    non-numeric, non-finite or non-positive value, abort the run with a
+    ``DataError`` that names the first bad physical line.
     """
     text = _read_text(path)
     match = _FIRST_LINE.search(text)
@@ -89,35 +93,58 @@ def read_sample(path: str, column: str | None = None) -> Sample:
             return False
 
     is_csv = column is not None or "," in first or not _is_number(first)
+    col = None
     if is_csv:
         column = column or "y"
-        reader, header = _csv_reader(text)
+        stream, _, header = _csv_reader(text)
         if column not in header:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
         col = header.index(column)
     else:
-        lines = text.splitlines()
-    # Valid data costs one float() per value: float() ignores surrounding
-    # whitespace, and Sample checks that the values are finite and positive
-    # (its DomainError is a ValueError).  Only a bad file is read again, line
-    # by line, to find the first bad value.
+        stream = io.StringIO(text, newline=None)
+
+    def cells():
+        """``(line number, text)`` of each value, from a fresh reader of ``text``."""
+        if is_csv:
+            _, reader, _ = _csv_reader(text)
+            return ((reader.line_num, row[col] if col < len(row) else "")
+                    for row in reader if row)
+        return ((lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+                if raw.strip())
+
+    # Valid data is read by one call to numpy's C reader, which strips each
+    # value as str.strip() does and parses it as float() does.  Text it rejects
+    # is read again by one float() per stripped value: float() also takes
+    # underscores, non-ASCII digits and whitespace-only plain lines.  Sample
+    # checks that the values are finite and positive (its DomainError is a
+    # ValueError).  Only a bad file is read a third time, to find the first
+    # bad value.
     try:
-        if is_csv:
-            values = [float(row[col]) for row in reader if row]
-        else:
-            values = [float(raw) for raw in lines if raw and not raw.isspace()]
-        if values:
-            return Sample(np.array(values))
-    except (ValueError, IndexError):
-        if is_csv:
-            reader, _ = _csv_reader(text)
-            cells = ((reader.line_num, row[col] if col < len(row) else "")
-                     for row in reader if row)
-        else:
-            cells = ((lineno, raw) for lineno, raw in enumerate(lines, start=1) if raw.strip())
-        _raise_first_bad_value(cells, path)
+        values = _loadtxt(stream, col)
+        if values is None:
+            values = [float(raw.strip()) for _, raw in cells()]
+        if len(values):
+            return Sample(np.asarray(values))
+    except ValueError:
+        _raise_first_bad_value(cells(), path)
         raise
     raise DataError(f"input file {path!r} contains no values")
+
+
+def _loadtxt(stream: io.StringIO, col: int | None) -> np.ndarray | None:
+    """The values left in ``stream`` by ``np.loadtxt``, or None if it rejects them.
+
+    ``col`` is the CSV column to read.  None reads a plain column, in which
+    a line holding a comma is an error rather than a first field.
+    """
+    quoting = {} if col is None else {"quotechar": '"', "usecols": col}
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(stream, dtype=float, delimiter=",", comments=None, ndmin=1,
+                              **quoting)
+    except ValueError:
+        return None
 
 
 def _read_text(path: str) -> str:
@@ -137,13 +164,15 @@ def _read_text(path: str) -> str:
 
 
 def _csv_reader(text: str):
-    """A CSV reader over ``text`` and its header, the first non-blank row.
+    """A stream over ``text``, a CSV reader of it, and its header, the first non-blank row.
 
     ``newline=None`` reads ``\\r\\n`` and ``\\r`` line ends as ``\\n``, so
-    ``reader.line_num`` counts physical lines whatever their ends.
+    ``reader.line_num`` counts physical lines whatever their ends.  The
+    stream stands just past the header.
     """
-    reader = csv.reader(io.StringIO(text, newline=None))
-    return reader, next((row for row in reader if "".join(row).strip()), [])
+    stream = io.StringIO(text, newline=None)
+    reader = csv.reader(stream)
+    return stream, reader, next((row for row in reader if "".join(row).strip()), [])
 
 
 def _raise_first_bad_value(cells, path: str) -> None:
@@ -206,7 +235,9 @@ def cmd_compute(args) -> int:
     given = None if args.alpha is None else GammaParams(args.alpha)
     sample = read_sample(args.input, args.column)
     try:
-        values = compute_indices(kinds, sample)
+        # an overflow or an undefined value in a kernel is the error, not a warning
+        with np.errstate(all="raise", under="ignore"):
+            values = compute_indices(kinds, sample)
         indices = {k.value: v for k, v in values.items()}
         result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
         if args.debias:
@@ -219,6 +250,8 @@ def cmd_compute(args) -> int:
     except (DomainError, SizeError) as exc:
         # every flag is checked above, so the sample is at fault
         raise DataError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise NumericError(f"{exc} while computing the indices") from None
 
     rows = [
         {
@@ -333,7 +366,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_VERIFY_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gammadex`` argument parser, built once per process."""
     parser = _Parser(prog="gammadex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,11 +11,13 @@ observations:
 Each index is defined once, as a function of axis 0 of an array, of a
 reducer that sums over that axis, and of the array's total under it,
 which every index of the same samples shares.  The one-sample API passes
-``fsum``, which is ``math.fsum`` over the array's values as a Python list,
-so sums that feed ratios are correctly rounded and the O(n log n) Gini
-path and the brute-force pairwise oracle agree to ~1e-15 even for large
-samples; Monte Carlo blocks are ``(n, samples)`` arrays, pass
-``column_sums`` and get one value per column from the same formulas.
+``fsum``, the correctly rounded sum that ``math.fsum`` gives, so sums that
+feed ratios are exact to the last bit and the O(n log n) Gini path and the
+brute-force pairwise oracle agree to ~1e-15 even for large samples.  From
+``_VECTOR_SUM_MIN`` values on it gets that sum by error-free extraction in
+numpy's loops (Rump, Ogita & Oishi 2008), bit for bit.  Monte Carlo blocks
+are ``(n, samples)`` arrays, pass ``column_sums`` and get one value per
+column from the same formulas.
 """
 
 from __future__ import annotations
@@ -159,17 +161,59 @@ def gini_pairwise(values: SampleLike) -> float:
 Reducer = Callable[[np.ndarray], "float | np.ndarray"]
 
 
+# From this many values on, ``fsum`` sums by error-free extraction in numpy's
+# loops; below it, one ``math.fsum`` over the values is faster.  Measured on
+# the gamma-derived arrays the kernels sum (2 shared vCPUs, numpy 2.4): both
+# take about 44 ns per value at 600 values; at 1,000 values extraction takes
+# about 25 ns against 42.
+_VECTOR_SUM_MIN = 600
+
+
 def fsum(x: np.ndarray) -> float:
     """Correctly rounded sum of a 1-D array, exactly ``math.fsum(x)``.
 
-    ``tolist`` hands ``math.fsum`` the same doubles as Python floats, which
-    it reads faster than numpy scalars boxed one element at a time.  A sum
-    whose partials overflow the double range is a ``NumericError``.
+    Below ``_VECTOR_SUM_MIN`` values this is ``math.fsum(x.tolist())``:
+    ``tolist`` hands it the same doubles as Python floats, which it reads
+    faster than numpy scalars boxed one at a time.  From that size on,
+    ``_extracted_fsum`` gets the same double in numpy's loops.  A sum whose
+    partials overflow the double range is a ``NumericError``.
     """
     try:
-        return math.fsum(x.tolist())
+        if x.size < _VECTOR_SUM_MIN:
+            return math.fsum(x.tolist())
+        return _extracted_fsum(x)
     except OverflowError:
         raise NumericError("a sum overflows the double range") from None
+
+
+def _extracted_fsum(x: np.ndarray) -> float:
+    """``math.fsum(x)``, bit for bit, by passes of error-free extraction.
+
+    ExtractVector (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1)): with 2^M > n + 2 and
+    2^e > max|r|, sigma = 2^(M+e) splits each residual r into
+    q = (r + sigma) - sigma and r - q, both exactly.  Every q is a multiple
+    of one power of two and the q sum to less than sigma in magnitude, so
+    numpy's pairwise sum of them, in whatever order, is exact.  Passes repeat over the
+    nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left; the
+    partial sums and those residuals add up exactly to the sum of ``x``,
+    so ``math.fsum`` of them is ``math.fsum(x)``.  NaN, an infinity, all
+    zeros or a sigma beyond the double range hand ``x`` to ``math.fsum``
+    whole, so those cases raise and return what it does.
+    """
+    partials, r = [], x
+    while r.size >= _VECTOR_SUM_MIN:
+        largest = max(r.max(), -r.min())
+        exponent = (r.size + 2).bit_length() + math.frexp(largest)[1]
+        if not (0.0 < largest < math.inf and exponent < 1024):
+            return math.fsum(x.tolist())
+        sigma = math.ldexp(1.0, exponent)
+        q = r + sigma
+        q -= sigma
+        r = r - q
+        partials.append(float(q.sum()))
+        r = r[r != 0.0]
+    return math.fsum(partials + r.tolist())
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestReadSample:
     def test_missing_file(self):
         with pytest.raises(DataError):
             read_sample("/nonexistent/file.txt")
+
+    def test_comma_in_a_plain_column_is_not_a_number(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("1\n2,3\n4\n")
+        with pytest.raises(DataError, match=r":2: not a number: '2,3'"):
+            read_sample(str(p))
+
+    def test_header_only_csv_has_no_values_and_warns_nothing(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("id,y\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's reader warns on empty input
+            with pytest.raises(DataError, match="contains no values"):
+                read_sample(str(p))
 
     def test_line_number_in_error(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -194,8 +209,14 @@ def _line_by_line_read_sample(path: str, column: str | None = None) -> Sample:
 
 
 _VALUES = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
-_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "abc", "1_0", "1e999"])
-_PADS = st.sampled_from(["", " ", "\t", " \t "])
+# valid for float(), though numpy's reader rejects them
+_ODD_VALUES = st.sampled_from(["1_0", "\uff11\uff0e\uff15", "\u0663"])
+_BAD_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.0", "-1", "abc", "1e999", "1,2", "3,", "\uff10"]
+)
+_PADS = st.sampled_from(["", " ", "\t", " \t ", "\x1c", "\x1f", "\x85", "\xa0", "\u2028"])
+# Line ends of str.splitlines, of which csv knows only the first three.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
 
 
 @st.composite
@@ -203,33 +224,51 @@ def _data_files(draw):
     """A plain column or a CSV file, and the ``column`` to read it with.
 
     Half the files hold only valid values, padded with whitespace and set
-    among blank and whitespace-only lines; the other half may also hold bad
-    values and, in a CSV, short rows.  CSV rows may carry a quoted field
-    with newlines in it.
+    among blank lines; the other half may also hold bad values and, in a
+    CSV, short rows, whitespace-only rows and pads before an opening quote.
+    Half the files may also hold what numpy's reader rejects but float()
+    reads: underscores and non-ASCII digits and, in a plain column,
+    whitespace-only lines and any line end of ``_LINE_ENDS``.  CSV rows may
+    carry extra columns, a quoted field with newlines or doubled quotes in
+    it, a quoted ``y`` value with pads inside and after the quotes, and a
+    last quote left open; blank lines may come before the header.
     """
-    bad = draw(st.booleans())
-    value = (st.one_of(_VALUES, _BAD_VALUES) if bad else _VALUES).flatmap(
+    bad, odd = draw(st.booleans()), draw(st.booleans())
+    valid = st.one_of(_VALUES, _ODD_VALUES) if odd else _VALUES
+    value = (st.one_of(valid, _BAD_VALUES) if bad else valid).flatmap(
         lambda v: st.tuples(_PADS, _PADS).map(lambda pads: pads[0] + v + pads[1])
     )
     values = draw(st.lists(value, max_size=25))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    newline = draw(st.sampled_from(_LINE_ENDS[:3]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
-    blank_line = _PADS if bad else st.just("")  # a whitespace-only CSV row is a bad value
     if draw(st.booleans()):
+        blank_line = _PADS if odd else st.just("")
         lines = []
         for v in values:
-            lines += draw(st.lists(_PADS, max_size=2)) + [v]
-        return bom + newline.join(lines) + draw(st.sampled_from(["", newline])), None
+            lines += draw(st.lists(blank_line, max_size=2)) + [v]
+        ends = [draw(st.sampled_from(_LINE_ENDS)) if odd else newline for _ in lines]
+        if ends and draw(st.booleans()):
+            ends[-1] = ""
+        return bom + "".join(line + end for line, end in zip(lines, ends)), None
+    blank_line = _PADS if bad else st.just("")  # a whitespace-only CSV row is a bad value
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=newline)
-    out.write(bom + draw(st.sampled_from(["", newline])))
+    out.write(bom + "".join(pad + newline for pad in draw(st.lists(_PADS, max_size=3))))
     writer.writerow(["id", "y", "note"])
-    shapes = ["full", "quoted"] + (["short"] if bad else [])
+    shapes = ["full", "quoted", "long", "raw"] + (["short"] if bad else [])
     for i, v in enumerate(values, start=1):
         if draw(st.booleans()):
             out.write(draw(blank_line) + newline)
         shape = draw(st.sampled_from(shapes))
-        writer.writerow([i] if shape == "short" else [i, v, "a\nb" if shape == "quoted" else ""])
+        if shape == "raw":  # y quoted by hand; a pad before the quote makes it literal
+            lead, inside, after = (draw(_PADS) for _ in range(3))
+            out.write(f'{i},{lead if bad else ""}"{inside}{v}{inside}"{after},"a""b"{newline}')
+        else:
+            note = {"quoted": "a\nb", "long": "c"}.get(shape, "")
+            writer.writerow([i] if shape == "short" else
+                            [i, v, note] + (["d", 7] if shape == "long" else []))
+    if draw(st.booleans()):
+        out.write(f'{len(values) + 1},"{draw(value)}{newline}')  # the quote is never closed
     return out.getvalue(), draw(st.sampled_from([None, "y", "id", "note"]))
 
 
@@ -253,6 +292,20 @@ def test_read_sample_matches_line_by_line_oracle(oracle_path, case):
     Path(oracle_path).write_bytes(text.encode("utf-8"))
     expected = _read_outcome(_line_by_line_read_sample, oracle_path, column)
     assert _read_outcome(read_sample, oracle_path, column) == expected
+
+
+@pytest.mark.parametrize("suffix", ["txt", "csv"])
+def test_read_sample_matches_oracle_on_a_large_file(tmp_path, suffix):
+    # the benchmark's data format: repr of each value, as a column or as y
+    text = [repr(v) for v in np.random.default_rng(19).gamma(0.5, 2.0, 5000).tolist()]
+    p = tmp_path / f"data.{suffix}"
+    if suffix == "txt":
+        p.write_text("\n".join(text) + "\n")
+    else:
+        p.write_text("id,y,weight\n" + "".join(f"{j},{v},{1 + j % 7}\n" for j, v in enumerate(text)))
+    got = _read_outcome(read_sample, str(p), None)
+    assert got == _read_outcome(_line_by_line_read_sample, str(p), None)
+    assert got == [float(v).hex() for v in text]
 
 
 class TestCompute:
@@ -418,9 +471,9 @@ class TestNonFiniteResult:
     def test_vmr_overflow(self, capsys, tmp_path, debias):
         p = tmp_path / "big.txt"
         p.write_text("1e200\n2e200\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            result = run_cli(capsys, "compute", "--index", "all", "--input", str(p), *debias)
-        self._numeric_error(*result)
+        code, out, err = run_cli(capsys, "compute", "--index", "all", "--input", str(p), *debias)
+        self._numeric_error(code, out, err)
+        assert err.count("\n") == 1  # numpy's overflow warning does not reach stderr
 
     def test_sum_overflow(self, capsys, tmp_path):
         p = tmp_path / "huge.txt"

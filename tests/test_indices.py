@@ -23,7 +23,7 @@ from gammadex.indices import (
     theil_t,
     vmr,
 )
-from gammadex.indices import _NETWORKS, _sort_axis0
+from gammadex.indices import _NETWORKS, _VECTOR_SUM_MIN, _sort_axis0
 
 # Direct evaluations of the defining formulas on tiny samples.
 THEIL_1_3 = 0.13081203594113696  # (1 ln(1/2) + 3 ln(3/2)) / 4
@@ -210,19 +210,70 @@ wide_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
 
 
 @settings(max_examples=300)
-@given(st.lists(wide_floats, min_size=1, max_size=200), st.randoms(use_true_random=False))
-def test_one_sample_reducer_is_exactly_fsum(values, rand):
-    x = np.array(values)
+@given(
+    st.lists(wide_floats, min_size=1, max_size=200),
+    st.integers(0, 4 * _VECTOR_SUM_MIN),
+    st.randoms(use_true_random=False),
+)
+def test_one_sample_reducer_is_exactly_fsum(values, size, rand):
+    # Rescaled copies of the drawn values take the arrays from below to well
+    # above the size at which fsum sums by extraction.
+    rng = np.random.default_rng(rand.getrandbits(64))
+    k = max(size - len(values), 0)
+    copies = rng.choice(values, k) * rng.choice([-1.0, 1.0], k) * np.exp2(rng.integers(-40, 41, k))
+    x = np.concatenate([values, copies])
     y = np.abs(x) + 1e-300
     n = y.size
     weights = 2.0 * np.arange(1, n + 1) - n - 1.0
-    mirrored = np.concatenate([x, -x])
-    rand.shuffle(mirrored)  # cancels to exactly zero, in any order
+    mirrored = rng.permutation(np.concatenate([x, -x]))  # cancels to exactly zero
     theil_terms = y * (np.log(y) - np.log(y.mean()))
     for arr in (x, weights * np.sort(y), theil_terms, mirrored, mirrored + x[0]):
         got, want = fsum(arr), math.fsum(arr)
         assert got == want
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("n", [_VECTOR_SUM_MIN - 1, _VECTOR_SUM_MIN, 3000, 50_000])
+@pytest.mark.parametrize("seed", range(5))
+def test_extracted_sum_over_the_whole_double_range(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    mirrored = rng.permutation(np.concatenate([x, -x]))
+    # all just above -1: the extracted parts are fine multiples and sum to near their bound
+    crowded = rng.random(n) * 2.0**-20 - 1.0
+    for arr in (x, mirrored, mirrored + x[0], np.concatenate([mirrored, [5e-324]]), crowded):
+        got, want = fsum(arr), math.fsum(arr)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
+def test_extracted_sum_of_large_gamma_kernel_terms(alpha):
+    y = np.random.default_rng(int(alpha * 10)).gamma(alpha, 1.0, 200_000)
+    n = y.size
+    weights = 2.0 * np.arange(1, n + 1) - n - 1.0
+    mu = math.fsum(y) / n
+    terms = (y, weights * np.sort(y), y * np.log(y / mu), np.log(y), np.square(y - mu))
+    for arr in terms:
+        assert fsum(arr) == math.fsum(arr)
+
+
+def test_extracted_sum_of_special_values_is_fsum():
+    def ones(*head):
+        x = np.ones(3 * _VECTOR_SUM_MIN)
+        x[: len(head)] = head
+        return x
+
+    assert fsum(ones(np.inf)) == math.inf
+    assert fsum(ones(1.0, -np.inf)) == -math.inf
+    assert math.isnan(fsum(ones(np.nan)))
+    with pytest.raises(ValueError):  # as math.fsum: -inf + inf
+        fsum(ones(np.inf, -np.inf))
+    assert fsum(ones(1.7e308, -1.7e308)) == math.fsum(ones(1.7e308, -1.7e308))
+    with pytest.raises(NumericError):  # an intermediate overflow, as in math.fsum
+        fsum(ones(1e308, 1e308, -1e308))
+    zeros = -np.zeros(3 * _VECTOR_SUM_MIN)
+    assert math.copysign(1.0, fsum(zeros)) == math.copysign(1.0, math.fsum(zeros))
 
 
 def test_overflowing_sum_is_a_numeric_error():
