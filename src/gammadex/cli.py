@@ -74,8 +74,8 @@ def read_sample(path: str, column: str | None = None) -> Sample:
     when the first non-blank line holds a comma or is not a number (a lone
     header); that line is the header, and the default column name is ``y``.
     A value is read as ``float(text.strip())``: a valid file by one
-    ``np.loadtxt`` call (numpy's C reader), and a file that reader rejects
-    by one float() per value.  Bytes that are not UTF-8, or a missing,
+    ``np.loadtxt`` call (numpy's C reader), and any other file by one more
+    pass of one float() per value.  Bytes that are not UTF-8, or a missing,
     non-numeric, non-finite or non-positive value, abort the run with a
     ``DataError`` that names the first bad physical line.
     """
@@ -113,38 +113,25 @@ def read_sample(path: str, column: str | None = None) -> Sample:
                 if raw.strip())
 
     # Valid data is read by one call to numpy's C reader, which strips each
-    # value as str.strip() does and parses it as float() does.  Text it rejects
-    # is read again by one float() per stripped value: float() also takes
-    # underscores, non-ASCII digits and whitespace-only plain lines.  Sample
+    # value as str.strip() does and parses it as float() does, and Sample
     # checks that the values are finite and positive (its DomainError is a
-    # ValueError).  Only a bad file is read a third time, to find the first
-    # bad value.
-    try:
-        values = _loadtxt(stream, col)
-        if values is None:
-            values = [float(raw.strip()) for _, raw in cells()]
-        if len(values):
-            return Sample(np.asarray(values))
-    except ValueError:
-        _raise_first_bad_value(cells(), path)
-        raise
-    raise DataError(f"input file {path!r} contains no values")
-
-
-def _loadtxt(stream: io.StringIO, col: int | None) -> np.ndarray | None:
-    """The values left in ``stream`` by ``np.loadtxt``, or None if it rejects them.
-
-    ``col`` is the CSV column to read.  None reads a plain column, in which
-    a line holding a comma is an error rather than a first field.
-    """
+    # ValueError).  Text that either rejects is read once more, one float()
+    # per stripped value: float() also takes underscores, non-ASCII digits
+    # and whitespace-only plain lines, and a bad value names its line.
     quoting = {} if col is None else {"quotechar": '"', "usecols": col}
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(stream, dtype=float, delimiter=",", comments=None, ndmin=1,
-                              **quoting)
+            # without usecols a plain line holding a comma is an error, not a first field
+            values = np.loadtxt(stream, dtype=float, delimiter=",", comments=None, ndmin=1,
+                                **quoting)
+        if len(values):
+            return Sample(values)
     except ValueError:
-        return None
+        values = _checked_values(cells(), path)
+        if values:
+            return Sample(np.asarray(values))
+    raise DataError(f"input file {path!r} contains no values")
 
 
 def _read_text(path: str) -> str:
@@ -175,8 +162,9 @@ def _csv_reader(text: str):
     return stream, reader, next((row for row in reader if "".join(row).strip()), [])
 
 
-def _raise_first_bad_value(cells, path: str) -> None:
-    """Raise the ``DataError`` of the first bad value among ``(line, text)`` cells."""
+def _checked_values(cells, path: str) -> list[float]:
+    """The values of ``(line, text)`` cells, or the ``DataError`` of the first bad one."""
+    values = []
     for lineno, raw in cells:
         raw = raw.strip()
         try:
@@ -189,6 +177,8 @@ def _raise_first_bad_value(cells, path: str) -> None:
             raise DataError(
                 f"{path}:{lineno}: values must be strictly positive, got {raw}"
             ) from None
+        values.append(value)
+    return values
 
 
 def _fmt_cell(v) -> str:
@@ -316,7 +306,7 @@ def cmd_simulate(args) -> int:
         GammaParams(args.alpha, 1.0 if args.lam is None else args.lam),
         args.n,
         args.reps,
-        RngStream(args.seed, args.stream_id),
+        RngStream(args.seed),
         debias_values=args.debias,
         workers=args.workers,
     )
@@ -406,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--reps", type=int, default=200_000, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--stream-id", type=int, default=0,
-                   help="base stream id; replicate blocks use consecutive ids above it")
     p.add_argument("--debias", action="store_true", help="check the debiased estimator")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericError, SizeError
 from .indices import IndexKind, SampleLike, as_sample, compute_index
-from .special import _require_positive, digamma, log_gamma, log_minus_digamma
+from .special import _HALF_LOG_PI, _require_positive, digamma, log_gamma, log_minus_digamma
 
 __all__ = [
     "GammaParams",
@@ -43,8 +43,6 @@ __all__ = [
     "debias",
     "alpha_plug_in",
 ]
-
-_HALF_LOG_PI = 0.5723649429247001  # ln(pi)/2
 
 
 @dataclass(frozen=True)

@@ -276,8 +276,13 @@ def _gini(y: np.ndarray, total, reduce: Reducer):
 
 
 def _theil_t(y: np.ndarray, total, reduce: Reducer):
-    mu = total / y.shape[0]
-    return _snap(reduce(y * np.log(y / mu)) / total, lo=0.0)
+    # y/mu underflows to 0 for a y tiny against the mean; clamped at the least
+    # subnormal, its term y·log(y/mu) stays about 0 instead of taking log(0)
+    r = y / (total / y.shape[0])
+    np.maximum(r, 5e-324, out=r)
+    np.log(r, out=r)
+    r *= y
+    return _snap(reduce(r) / total, lo=0.0)
 
 
 def _atkinson(y: np.ndarray, total, reduce: Reducer):

@@ -325,6 +325,13 @@ class TestCompute:
         assert set(values) == {"gini", "theil", "atkinson", "vmr"}
         assert all(abs(v) <= 1e-14 for v in values.values())
 
+    def test_theil_of_a_value_tiny_against_the_mean(self, capsys, tmp_path):
+        p = tmp_path / "tiny.txt"
+        p.write_text("5e-324\n1e10\n3e10\n")
+        code, out, err = run_cli(capsys, "compute", "--input", str(p), "--index", "theil")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["indices"]["theil"] == 0.5362771440493014
+
     def test_vmr_from_csv(self, capsys, csv_file):
         code, out, _ = run_cli(capsys, "compute", "--input", csv_file, "--index", "vmr")
         assert code == EXIT_OK

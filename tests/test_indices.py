@@ -109,6 +109,15 @@ class TestTheil:
         for y in rng.uniform(1e-6, 1e6, size=100):
             assert theil_t([float(y)]) == 0.0
 
+    def test_value_tiny_against_the_mean(self):
+        """5e-324 / mean underflows to 0; its term is about -4e-321, not 0·log(0)."""
+        expected = (0.75 * math.log(0.75) + 2.25 * math.log(2.25)) / 3
+        y = np.array([5e-324, 1e10, 3e10])
+        with np.errstate(all="raise", under="ignore"):
+            assert theil_t(y) == pytest.approx(expected, rel=1e-14)
+            (block,) = index_values((IndexKind.THEIL_T,), np.column_stack([y, y[::-1]]))
+        assert block.tolist() == pytest.approx([expected, expected], rel=1e-14)
+
 
 class TestAtkinson:
     @pytest.mark.parametrize(
