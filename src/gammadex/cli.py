@@ -255,11 +255,16 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _gamma_params(args, kinds: tuple[IndexKind, ...]) -> GammaParams:
+    """``--alpha`` and ``--lambda``; the rate defaults to 1, except for VMR, which scales with it."""
+    if IndexKind.VMR in kinds and args.lam is None:
+        raise DomainError(f"{args.command} --index vmr needs --lambda")
+    return GammaParams(args.alpha, 1.0 if args.lam is None else args.lam)
+
+
 def cmd_population(args) -> int:
     kinds = _parse_kinds(args.index)
-    if IndexKind.VMR in kinds and args.lam is None:
-        raise DomainError("population value of vmr needs --lambda")
-    params = GammaParams(args.alpha, 1.0 if args.lam is None else args.lam)
+    params = _gamma_params(args, kinds)
     values = {k.value: population_value(k, params) for k in kinds}
     obj = {
         "command": "population",
@@ -273,9 +278,7 @@ def cmd_population(args) -> int:
 
 def cmd_expect(args) -> int:
     kinds = _parse_kinds(args.index)
-    if IndexKind.VMR in kinds and args.lam is None:
-        raise DomainError("expectation of vmr needs --lambda")
-    params = GammaParams(args.alpha, 1.0 if args.lam is None else args.lam)
+    params = _gamma_params(args, kinds)
     results = []
     for kind in kinds:
         r = expectation(kind, params, args.n)
@@ -301,15 +304,9 @@ def cmd_expect(args) -> int:
 def cmd_simulate(args) -> int:
     if args.index is None:
         raise DomainError("--index is required for this command")
-    report = mc_expectation(
-        IndexKind.parse(args.index),
-        GammaParams(args.alpha, 1.0 if args.lam is None else args.lam),
-        args.n,
-        args.reps,
-        RngStream(args.seed),
-        debias_values=args.debias,
-        workers=args.workers,
-    )
+    kind = IndexKind.parse(args.index)
+    report = mc_expectation(kind, _gamma_params(args, (kind,)), args.n, args.reps,
+                            RngStream(args.seed), debias_values=args.debias, workers=args.workers)
     row = report.to_dict()
     _emit(row, [row], args.format)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL

@@ -7,16 +7,19 @@ test suite:
 
 * ``log_gamma``: relative error <= 1e-12 on [1e-3, 1e6]
 * ``digamma``:   absolute error <= 1e-10 on [1e-3, 1e6]
-* ``log_minus_digamma``: relative error <= 1e-12 for x > 0
+* ``log_minus_digamma`` and ``log_minus_digamma_plus_one``: relative
+  error <= 1e-12 for x > 0
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
-__all__ = ["log_gamma", "digamma", "log_minus_digamma", "log_beta", "duplication_residual"]
+__all__ = ["log_gamma", "digamma", "log_minus_digamma", "log_minus_digamma_plus_one", "log_beta",
+           "duplication_residual"]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 _HALF_LOG_PI = 0.5723649429247001  # ln(pi)/2
@@ -106,16 +109,39 @@ def digamma(x: float) -> float:
     return math.log(y) - 0.5 / y - series - math.fsum(shift_terms)
 
 
+def _log_minus_digamma(x: float, start: float) -> float:
+    """log(x) - psi(start), summed from digamma's own terms at start, in which nothing cancels.
+
+    The terms are 1/(2y) + series + sum(shift_terms) + log(x/y); where x/y
+    would be subnormal, its log is taken as log(x) - log(y).
+    """
+    y, series, shift_terms = _digamma_series(start)
+    ratio = x / y
+    log_part = math.log(ratio) if ratio >= sys.float_info.min else math.log(x) - math.log(y)
+    return math.fsum([0.5 / y, series, *shift_terms, log_part])
+
+
 def log_minus_digamma(x: float) -> float:
     """log(x) - psi(x) for x > 0, to full relative accuracy at every x.
 
     The two terms agree to about log10(x) digits, so their difference loses
-    that many.  It is summed instead from digamma's own terms,
-    1/(2y) + series + sum(shift_terms) + log(x/y), in which nothing cancels.
+    that many; it is summed instead from digamma's own terms.
     """
     x = _require_positive(x, "x")
-    y, series, shift_terms = _digamma_series(x)
-    return math.fsum([0.5 / y, series, *shift_terms, math.log(x / y)])
+    return _log_minus_digamma(x, x)
+
+
+def log_minus_digamma_plus_one(x: float) -> float:
+    """log(x) - psi(x + 1) for x > 0, to full relative accuracy at every x.
+
+    Below the series range it is summed from digamma's terms at x + 1, which
+    are those at x less the shift term 1/x: no 1/x is formed, and nothing of
+    that size cancels at tiny x.
+    """
+    x = _require_positive(x, "x")
+    if x >= _SERIES_START:
+        return log_minus_digamma(x) - 1.0 / x  # psi(x + 1) = psi(x) + 1/x
+    return _log_minus_digamma(x, x + 1.0)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -21,7 +21,8 @@ from gammadex.cli import (
     read_sample,
 )
 from gammadex.errors import DataError
-from gammadex.indices import Sample
+from gammadex.gamma_forms import GammaParams, population_value
+from gammadex.indices import IndexKind, Sample
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +450,13 @@ class TestPopulation:
         assert code == EXIT_USAGE
         assert err.startswith("USAGE_ERROR:")
 
+    @pytest.mark.parametrize("index", ["theil", "atkinson"])
+    def test_least_subnormal_shape(self, capsys, index):
+        code, out, _ = run_cli(capsys, "population", "--alpha", "5e-324", "--index", index)
+        assert code == EXIT_OK
+        expected = population_value(IndexKind.parse(index), GammaParams(5e-324))
+        assert json.loads(out)["values"][index] == expected
+
     def test_all_with_lambda(self, capsys):
         code, out, _ = run_cli(
             capsys, "population", "--alpha", "1", "--lambda", "4", "--index", "all"
@@ -469,9 +477,10 @@ class TestNonFiniteResult:
 
     @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
     def test_population_at_a_subnormal_shape(self, capsys, fmt):
-        # pop_theil is 1/alpha - (log alpha - psi(alpha)) = inf - inf there
+        # the population VMR is 1/lambda, which overflows at a subnormal rate
         self._numeric_error(*run_cli(
-            capsys, "population", "--alpha", "1e-320", "--lambda", "1", "--format", fmt,
+            capsys, "population", "--index", "vmr", "--alpha", "1", "--lambda", "1e-320",
+            "--format", fmt,
         ))
 
     @pytest.mark.parametrize("debias", [[], ["--debias"]], ids=["raw", "debias"])
@@ -576,6 +585,12 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         [*NARROW_VERIFY_ARGS, "--workers", "-3"],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--workers", "0"],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--seed", "-1"],
+        # vmr scales with the rate, so no command runs it at an unstated one
+        ["expect", "--index", "vmr", "--alpha", "1", "--n", "2"],
+        [*SIMULATE_ARGS, "--index", "vmr"],
+        ["verify", "--grid", "alpha"],
+        ["verify", "--grid", "alpha=x"],
+        ["verify", "--grid", "alpha="],
     ],
     ids=" ".join,
 )

@@ -58,6 +58,17 @@ EXPECT_THEIL_MPMATH = [
     (5.0, 10**6, 0.09667965599770344),
 ]
 
+# pop_theil at tiny alpha and expect_theil at (1e-10, 2), from the same
+# formulas as POP_THEIL_MPMATH and EXPECT_THEIL_MPMATH at
+#   mpmath.mp.dps = 40 + 2 * abs(math.log10(alpha))
+# since psi(a) and 1/a cancel to about |log10(a)| digits.
+POP_THEIL_TINY_MPMATH = [
+    (5e-324, 743.8628562564797),
+    (1e-30, 68.50033712491984),
+    (1e-15, 33.961560730009154),
+]
+EXPECT_THEIL_TINY_MPMATH = [(1e-10, 2, 0.6931471803954519)]
+
 # pop_atkinson at alpha, from
 #   mpmath.mp.dps = 50; a = mpmath.mpf(alpha)
 #   float(1 - mpmath.exp(mpmath.digamma(a)) / a)
@@ -129,6 +140,16 @@ class TestPopulationValues:
             a = mpmath.mpf(alpha)
             assert float(1 - mpmath.exp(mpmath.digamma(a)) / a) == expected
 
+    @pytest.mark.parametrize(("alpha", "expected"), POP_THEIL_TINY_MPMATH)
+    def test_theil_at_tiny_alpha(self, alpha, expected):
+        # psi(a) + 1/a - log(a) is psi(a + 1) - log(a): no 1/a is formed, and
+        # at a = 5e-324 a/(a + 10) underflows, so its log is taken as a difference
+        assert pop_theil(GammaParams(alpha)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_atkinson_at_the_least_subnormal_alpha(self):
+        # 1 - exp(psi(a))/a with psi(a) about -1/a: exp underflows to 0
+        assert pop_atkinson(GammaParams(5e-324)) == 1.0
+
     def test_theil_large_alpha_asymptotics(self):
         # T(alpha) ~ 1/(2 alpha) - 1/(12 alpha^2) for large shape
         alpha = 1e4
@@ -193,6 +214,29 @@ class TestExpectations:
     def test_theil_literals_match_mpmath(self, alpha, n, expected):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            if n is None:
+                value = mpmath.digamma(a) + 1 / a - mpmath.log(a)
+            else:
+                na = a * n
+                value = mpmath.digamma(a) + 1 / a + mpmath.log(n) - mpmath.digamma(na) - 1 / na
+            assert float(value) == expected
+
+    @pytest.mark.parametrize(("alpha", "n", "expected"), EXPECT_THEIL_TINY_MPMATH)
+    def test_theil_at_tiny_alpha(self, alpha, n, expected):
+        # E is about log n, the difference of two numbers of about log(1/a)
+        assert expect_theil(GammaParams(alpha), n).expectation == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        ("alpha", "n", "expected"),
+        [(alpha, None, value) for alpha, value in POP_THEIL_TINY_MPMATH]
+        + EXPECT_THEIL_TINY_MPMATH,
+    )
+    def test_tiny_alpha_theil_literals_match_mpmath(self, alpha, n, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40 + 2 * abs(math.log10(alpha))):
             a = mpmath.mpf(alpha)
             if n is None:
                 value = mpmath.digamma(a) + 1 / a - mpmath.log(a)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from gammadex.errors import DomainError
 from gammadex.special import (
     digamma, duplication_residual, log_beta, log_gamma, log_minus_digamma,
+    log_minus_digamma_plus_one,
 )
 
 # High-precision reference values (40-digit evaluation, rounded to double).
@@ -67,6 +68,40 @@ def test_log_minus_digamma_known_values(x, expected):
     assert log_minus_digamma(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+# log(x) - psi(x + 1) from mpmath, rounded to double:
+#   mpmath.mp.dps = 40 + 2 * abs(math.log10(x))
+#   float(mpmath.log(x) - mpmath.digamma(x + 1))
+LOG_MINUS_DIGAMMA_PLUS_ONE = [
+    (5e-324, -743.8628562564797),
+    (1e-300, -690.1983122333122),
+    (1e-15, -33.961560730009154),
+    (0.5, -0.7296371545385218),
+    (9.99, -0.04921588027083905),
+    (10.0, -0.049167496072675426),
+    (5e9, -9.999999999666667e-11),
+]
+
+
+@pytest.mark.parametrize(("x", "expected"), LOG_MINUS_DIGAMMA_PLUS_ONE)
+def test_log_minus_digamma_plus_one_known_values(x, expected):
+    assert log_minus_digamma_plus_one(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(("x", "expected"), LOG_MINUS_DIGAMMA_PLUS_ONE)
+def test_log_minus_digamma_plus_one_literals_match_mpmath(x, expected):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + 2 * abs(math.log10(x))):
+        m = mpmath.mpf(x)
+        assert float(mpmath.log(m) - mpmath.digamma(m + 1)) == expected
+
+
+def test_log_minus_digamma_where_x_over_its_lift_underflows():
+    # x/(x + 10) rounds to 0 at the least subnormal; log(x) - psi(x), about
+    # 1/x, overflows, and just above the subnormals it is still finite
+    assert log_minus_digamma(5e-324) == math.inf
+    assert log_minus_digamma(1e-307) == pytest.approx(1e307, rel=1e-15)
+
+
 def test_digamma_recurrence_grid():
     for x in np.linspace(0.01, 100.0, 100):
         assert digamma(x + 1.0) - digamma(x) - 1.0 / x == pytest.approx(0.0, abs=1e-10)
@@ -110,7 +145,7 @@ def test_duplication_residual_log_grid():
         assert abs(duplication_residual(alpha)) <= 1e-11
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, log_minus_digamma])
+@pytest.mark.parametrize("fn", [log_gamma, digamma, log_minus_digamma, log_minus_digamma_plus_one])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_domain_errors(fn, bad):
     with pytest.raises(DomainError):

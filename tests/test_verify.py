@@ -13,7 +13,7 @@ from gammadex.cli import _emit
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import GammaParams, debias, expectation, pop_theil, population_value
 from gammadex.indices import (
-    IndexKind, atkinson, compute_index, gini, index_values, theil_t, vmr,
+    _PAIRWISE_MAX_N, IndexKind, atkinson, compute_index, gini, index_values, theil_t, vmr,
 )
 from gammadex.rng import RngStream
 from gammadex.sampling import dirichlet_variates, gamma_variates
@@ -46,7 +46,7 @@ class TestBatchEstimators:
     """The shared kernels on (n, samples) blocks must match the fsum API."""
 
     @pytest.mark.parametrize("kind", list(IndexKind))
-    @pytest.mark.parametrize("n", [2, 3, 10, 57])
+    @pytest.mark.parametrize("n", [2, 3, 10, _PAIRWISE_MAX_N, _PAIRWISE_MAX_N + 1, 57])
     def test_matches_scalar_definitions(self, kind, n):
         rng = np.random.default_rng(1234 + n)
         y = rng.gamma(1.5, 2.0, size=(n, 200)) + 1e-12
@@ -60,7 +60,7 @@ class TestBatchEstimators:
         y = np.random.default_rng(5).gamma(2.0, 1.0, size=(1, 50))
         assert np.all(index_values((kind,), y)[0] == 0.0)
 
-    @pytest.mark.parametrize("n", [2, 5, 20])
+    @pytest.mark.parametrize("n", [2, 5, _PAIRWISE_MAX_N, _PAIRWISE_MAX_N + 1, 20])
     def test_block_columns_match_compute_index(self, n):
         y = np.random.default_rng(99 + n).gamma(0.7, 3.0, size=(n, 300))
         kinds = tuple(IndexKind)
