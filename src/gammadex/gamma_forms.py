@@ -14,8 +14,12 @@ Atkinson    1 - exp(psi(a))/a              1 - Gamma^n(a + 1/n) / (a Gamma^n(a))
 VMR         1/rate                         na / ((na + 1) rate)
 ==========  =============================  ==========================================
 
-Gamma-function ratios are evaluated as differences of ``log_gamma`` and
-exponentiated, so powers like Gamma^n never overflow.
+The Atkinson and Gini forms rest on one term,
+q(a, n) = n (ln Gamma(a + 1/n) - ln Gamma(a)) - log a
+(``special.log_power_mean_ratio``): E[A_n] = 1 - exp(q(a, n)) and
+Gini = sqrt(exp(q(a, 2)) / (pi a)).  It is summed from terms in which
+nothing large cancels, so powers like Gamma^n never overflow and E[A_n]
+keeps its relative accuracy where it is about (n - 1)/(2na).
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericError, SizeError
 from .indices import IndexKind, SampleLike, as_sample, compute_index
-from .special import (_HALF_LOG_PI, _require_positive, digamma, log_gamma, log_minus_digamma,
-                      log_minus_digamma_plus_one)
+from .special import (_require_positive, log_minus_digamma, log_minus_digamma_plus_one,
+                      log_n_digamma_gap, log_power_mean_ratio)
 
 __all__ = [
     "GammaParams",
@@ -79,7 +83,8 @@ class ExpectationResult:
 def pop_gini(params: GammaParams) -> float:
     """Population Gini index; depends on the shape only."""
     a = params.alpha
-    return math.exp(log_gamma(a + 0.5) - log_gamma(a + 1.0) - _HALF_LOG_PI)
+    # Gamma(a + 1/2)/(sqrt(pi) Gamma(a + 1)), with no difference of two a log a
+    return math.sqrt(math.exp(log_power_mean_ratio(a, 2)) / (math.pi * a))
 
 
 def pop_theil(params: GammaParams) -> float:
@@ -126,11 +131,6 @@ def _require_n(n: int, minimum: int, what: str) -> int:
     return n
 
 
-def _log_gamma_power_ratio(a: float, n: int) -> float:
-    """log(Gamma^n(a + 1/n) / Gamma^n(a)) = n (log Gamma(a + 1/n) - log Gamma(a))."""
-    return n * (log_gamma(a + 1.0 / n) - log_gamma(a))
-
-
 def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
     """E[G_n] for n >= 2; equals the population value (unbiased)."""
     n = _require_n(n, IndexKind.GINI.min_n, "gini expectation")
@@ -141,19 +141,15 @@ def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
 def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
     """E[T_n] for n >= 1; exactly zero at n = 1 (the formula telescopes)."""
     n = _require_n(n, IndexKind.THEIL_T.min_n, "theil expectation")
-    pop = pop_theil(params)
-    e = pop + log_minus_digamma_plus_one(n * params.alpha)  # pop - pop = 0 at n = 1
-    return ExpectationResult(IndexKind.THEIL_T, n, e, pop)
+    # log n + psi(a + 1) - psi(na + 1): no two terms of size log(1/a) at tiny a
+    e = log_n_digamma_gap(params.alpha, n)
+    return ExpectationResult(IndexKind.THEIL_T, n, e, pop_theil(params))
 
 
 def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
     """E[A_n] for n >= 1; exactly zero at n = 1 (Gamma(a+1) = a Gamma(a))."""
     n = _require_n(n, IndexKind.ATKINSON.min_n, "atkinson expectation")
-    a = params.alpha
-    if n == 1:
-        e = 0.0
-    else:
-        e = -math.expm1(_log_gamma_power_ratio(a, n) - math.log(a))
+    e = 0.0 if n == 1 else -math.expm1(log_power_mean_ratio(params.alpha, n))
     return ExpectationResult(IndexKind.ATKINSON, n, e, pop_atkinson(params))
 
 
@@ -197,7 +193,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     if kind is IndexKind.THEIL_T:
         return raw - log_minus_digamma_plus_one(n * a)
     if kind is IndexKind.ATKINSON:
-        factor = math.exp(digamma(a) - _log_gamma_power_ratio(a, n))
+        factor = math.exp(-(log_power_mean_ratio(a, n) + log_minus_digamma(a)))
         return 1.0 - (1.0 - raw) * factor
     na = n * a  # VMR
     return raw * (na + 1.0) / na

@@ -1,6 +1,8 @@
 """Gamma, beta, and Dirichlet variate generation over RngStream.
 
-Gamma variates use the Marsaglia-Tsang squeeze method: with
+At shape one the gamma law is the exponential, drawn by inversion as
+-log(1 - u): exactly one uniform per variate, with no normals and no
+rejection.  Every other shape uses the Marsaglia-Tsang squeeze method: with
 d = alpha - 1/3 and c = 1/sqrt(9d), candidates d*(1 + c*z)^3 from a
 standard normal z are accepted when u < 1 - 0.0331 z^4 or
 log(u) < z^2/2 + d(1 - v + log v).  Shapes below one are generated at
@@ -12,7 +14,8 @@ cache-sized slices, with the same result as one pass over the round.
 
 Each variate is drawn once, never redrawn: a shape below ``MIN_SHAPE``,
 where draws round to 0, is a ``DomainError``, and a 0 from an allowed
-shape raises ``NumericError``.
+shape raises ``NumericError``.  At shape one a 0 comes only from u = 0,
+with probability 2^-53 per variate, the resolution ``MIN_SHAPE`` is set at.
 
 Beta and Dirichlet variates are gamma ratios: X/(X+Y) for Beta(a, b),
 and a normalized vector of i.i.d. gammas for the symmetric Dirichlet.
@@ -135,7 +138,14 @@ def _gamma_unit_rate(rng: RngStream, alpha: float, size: int) -> np.ndarray:
 
 
 def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray:
-    """size i.i.d. gamma(shape=alpha, rate) variates; alpha >= ``MIN_SHAPE``."""
+    """size i.i.d. gamma(shape=alpha, rate) variates; alpha >= ``MIN_SHAPE``.
+
+    alpha = 1 is the exponential, -log(1 - u) from exactly ``size`` uniforms;
+    its draw is 0 only where u = 0, probability 2^-53 per variate, and that
+    0 raises ``NumericError`` as at any other shape.  alpha > 1 is
+    Marsaglia-Tsang, and alpha < 1 is drawn at alpha + 1 and scaled by
+    u^(1/alpha) from ``size`` more uniforms.
+    """
     alpha = params.alpha
     if alpha < MIN_SHAPE:
         raise DomainError(f"gamma sampler needs alpha >= {MIN_SHAPE:.6g}, got {alpha}")
@@ -144,7 +154,13 @@ def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray
         raise SizeError(f"size must be non-negative, got {size}")
     if size == 0:
         return np.empty(0)
-    if alpha >= 1.0:
+    if alpha == 1.0:
+        # the exponential law, by inversion: one uniform per variate, no rejection
+        out = rng.uniforms(size)
+        np.subtract(1.0, out, out=out)  # exact, as u = k 2^-53; (0, 1]
+        np.log(out, out=out)
+        np.negative(out, out=out)
+    elif alpha > 1.0:
         out = _gamma_unit_rate(rng, alpha, size)
     else:
         out = _gamma_unit_rate(rng, alpha + 1.0, size)

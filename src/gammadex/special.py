@@ -1,4 +1,5 @@
-"""Real-valued special functions: log-gamma, digamma, log-beta.
+"""Real-valued special functions: log-gamma, digamma, log-beta, and
+cancellation-free combinations of them.
 
 Everything here is self-contained (no scipy): the Stirling asymptotic
 series is used for large arguments and the standard upward recurrences
@@ -9,6 +10,8 @@ test suite:
 * ``digamma``:   absolute error <= 1e-10 on [1e-3, 1e6]
 * ``log_minus_digamma`` and ``log_minus_digamma_plus_one``: relative
   error <= 1e-12 for x > 0
+* ``log_power_mean_ratio`` and ``log_n_digamma_gap``: relative error
+  <= 1e-14 for x >= 0.0493 and 1 <= n <= 1e12
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import sys
 
 from .errors import DomainError
 
-__all__ = ["log_gamma", "digamma", "log_minus_digamma", "log_minus_digamma_plus_one", "log_beta",
-           "duplication_residual"]
+__all__ = ["log_gamma", "digamma", "log_minus_digamma", "log_minus_digamma_plus_one",
+           "log_power_mean_ratio", "log_n_digamma_gap", "log_beta", "duplication_residual"]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 _HALF_LOG_PI = 0.5723649429247001  # ln(pi)/2
@@ -39,6 +42,10 @@ _LGAMMA_COEF = (
     1.0 / 156.0,
     -3617.0 / 122400.0,
 )
+
+# log1p(t) = 2 atanh(s) = 2s (1 + s^2/3 + s^4/5 + ...) with s = t/(2 + t):
+# the coefficients 1/(2k + 1) of s^2k, k = 1..8, enough for s <= 1/21.
+_ATANH_COEF = tuple(1.0 / (2 * k + 1) for k in range(1, 9))
 
 # Stirling series for psi: coefficients of x^-2k, B_2k / (2k).
 _DIGAMMA_COEF = (
@@ -142,6 +149,78 @@ def log_minus_digamma_plus_one(x: float) -> float:
     if x >= _SERIES_START:
         return log_minus_digamma(x) - 1.0 / x  # psi(x + 1) = psi(x) + 1/x
     return _log_minus_digamma(x, x + 1.0)
+
+
+def log_power_mean_ratio(x: float, n: int) -> float:
+    """q(x, n) = n (ln Gamma(x + 1/n) - ln Gamma(x)) - log x for x > 0 and whole n >= 1.
+
+    For Y ~ Gamma(x, 1) this is log(E[Y^(1/n)]^n / E[Y]), the log of the
+    power mean of order 1/n over the mean, and it is 0 at n = 1.  It is
+    summed with ``math.fsum`` from terms in which nothing large cancels, with
+    h = 1/n only inside t = h/y and n h = 1 used exactly:
+
+    * x is lifted to y = x + m >= 10 as ``log_gamma`` lifts it, each shift
+      giving -n log1p(h/(x + j));
+    * Stirling's form at y gives n y log1pmx(t) - n log1p(t)/2 + log((y + h)/x),
+      with log1pmx(t) = log1p(t) - t from the atanh series in s = t/(2 + t);
+    * its series gives n c_k y^-(2k-1) expm1(-(2k-1) log1p(t)), k = 1..8.
+    """
+    x = _require_positive(x, "x")
+    if n == 1:
+        return 0.0  # Gamma(x + 1) = x Gamma(x)
+    h = 1.0 / n
+    terms = []
+    y = x
+    while y < _SERIES_START:
+        r = h / y
+        # where h/y overflows, log1p(h/y) is log(h) - log(y) to within 1e-308
+        terms.append(-n * (math.log1p(r) if r < math.inf else math.log(h) - math.log(y)))
+        y += 1.0
+    t = h / y
+    s = t / (2.0 + t)
+    s2 = s * s
+    tail = 0.0
+    for c in reversed(_ATANH_COEF):
+        tail = tail * s2 + c
+    tail *= s2  # s^2/3 + s^4/5 + ...
+    log1p_over_t = (1.0 - s) * (1.0 + tail)
+    log1p_t = t * log1p_over_t
+    terms.append((1.0 - s) * tail - s)  # n y log1pmx(t) = log1pmx(t)/t, as n y t = 1
+    terms.append(-0.5 * log1p_over_t / y)  # -n log1p(t)/2, as n t = 1/y
+    if y == x:
+        terms.append(log1p_t)  # log((y + h)/x)
+    else:
+        ratio = (y + h) / x
+        terms.append(math.log(ratio) if ratio < math.inf else math.log(y + h) - math.log(x))
+    # e = (1 + t)^-(2k-1) - 1 by e <- e (1 + d) + d with d = (1 + t)^-2 - 1: the
+    # terms have one sign, so nothing cancels
+    e = math.expm1(-log1p_t)
+    d = math.expm1(-2.0 * log1p_t)
+    power = 1.0 / y
+    step = power * power
+    series = 0.0
+    for c in _LGAMMA_COEF:
+        series += c * power * e
+        e += d * (1.0 + e)
+        power *= step
+    terms.append(n * series)
+    return math.fsum(terms)
+
+
+def log_n_digamma_gap(x: float, n: int) -> float:
+    """log(n) + psi(x + 1) - psi(nx + 1) for x > 0 and whole n >= 1; 0 at n = 1.
+
+    Summed from digamma's own terms at x + 1 and at nx + 1, lifted to
+    y1 = x + 1 + m1 and y2 = nx + 1 + m2: log(n y1/y2) is log1p(k/y2)
+    with the whole number k = n (1 + m1) - (1 + m2), in which nx cancels
+    exactly, so neither log(1/x) at tiny x nor log(nx) at large nx is formed.
+    """
+    x = _require_positive(x, "x")
+    y1, series1, shifts1 = _digamma_series(x + 1.0)
+    y2, series2, shifts2 = _digamma_series(_require_positive(n * x, "n*x") + 1.0)
+    k = n * (len(shifts1) + 1) - (len(shifts2) + 1)
+    return math.fsum([math.log1p(k / y2), 0.5 / y2, -0.5 / y1, series2, -series1,
+                      *shifts2, *(-v for v in shifts1)])
 
 
 def log_beta(a: float, b: float) -> float:

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .gamma_forms import (
     GammaParams,
-    _log_gamma_power_ratio,
     _require_n,
     _require_whole,
     debias,
@@ -57,7 +56,7 @@ from .indices import IndexKind, column_sums, gini, index_values
 from .quadrature import integrate
 from .rng import RngStream, _require_u64
 from .sampling import gamma_variates
-from .special import digamma, log_beta
+from .special import digamma, log_beta, log_power_mean_ratio
 
 __all__ = [
     "McReport",
@@ -338,7 +337,7 @@ def _dirichlet_product(y: np.ndarray) -> list[np.ndarray]:
 
 def _dirichlet_job(alpha: float, n: int, reps: int, rng: RngStream) -> _Job:
     def report(mean: np.ndarray, cov: np.ndarray) -> McReport:
-        target = math.exp(_log_gamma_power_ratio(alpha, n) - math.log(n * alpha))
+        target = math.exp(log_power_mean_ratio(alpha, n)) / n
         return _report(
             f"dirichlet_product_moment[alpha={_fmt(alpha)}]",
             n, reps, mean[0], math.sqrt(cov[0, 0] / reps), target, family="dirichlet",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import (
@@ -21,6 +22,7 @@ from gammadex.gamma_forms import (
     pop_vmr,
 )
 from gammadex.indices import IndexKind
+from gammadex.sampling import MIN_SHAPE
 from gammadex.special import digamma, log_gamma
 
 # High-precision reference evaluations (40-digit arithmetic, rounded).
@@ -67,7 +69,11 @@ POP_THEIL_TINY_MPMATH = [
     (1e-30, 68.50033712491984),
     (1e-15, 33.961560730009154),
 ]
-EXPECT_THEIL_TINY_MPMATH = [(1e-10, 2, 0.6931471803954519)]
+EXPECT_THEIL_TINY_MPMATH = [
+    (1e-10, 2, 0.6931471803954519),
+    (1e-300, 2, 0.6931471805599453),
+    (1e-300, 3, 1.0986122886681098),
+]
 
 # pop_atkinson at alpha, from
 #   mpmath.mp.dps = 50; a = mpmath.mpf(alpha)
@@ -80,7 +86,47 @@ POP_ATKINSON_MPMATH = [
     (1e9, 4.999999999583333e-10),
 ]
 
+# pop_gini at alpha, E[A_n] at (alpha, n) and the Atkinson debias factor
+# exp(psi(a)) Gamma^n(a) / Gamma^n(a + 1/n) at (alpha, n), from
+#   mpmath.mp.dps = _dps(alpha, n); a = mpmath.mpf(alpha)
+#   float(mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a + 1)) / mpmath.sqrt(mpmath.pi))
+#   q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+#   float(-mpmath.expm1(q))
+#   float(mpmath.exp(mpmath.digamma(a) - mpmath.log(a) - q))
+POP_GINI_MPMATH = [
+    (1e3, 0.01783901114585432),
+    (1e6, 0.0005641895130240628),
+    (1e12, 5.641895835476857e-07),
+    (1e16, 5.641895835477563e-09),
+    (1e300, 5.641895835477563e-151),
+]
+EXPECT_ATKINSON_MPMATH = [
+    (5.0, 10**9, 0.09816188091682627),
+    (0.5, 10**9, 0.7192702575238845),
+    (0.5, 10**12, 0.7192702582158648),
+    (1e3, 10**3, 0.000499458312558553),
+    (1e4, 10, 4.49995874814373e-05),
+    (1e6, 2, 2.4999996874999217e-07),
+    (1e300, 3, 3.333333333333333e-301),
+]
+ATKINSON_FACTOR_MPMATH = [
+    (5.0, 10**9, 0.9999999998893385),
+    (0.5, 10**12, 0.9999999999975326),
+    (1e3, 10**3, 0.9999994997502086),
+    (1e6, 2, 0.9999997499999479),
+]
+
 ALPHAS = (0.5, 1.0, 2.0, 3.7, 5.0, 100.0)
+
+
+def _dps(alpha, n=1):
+    """mpmath digits for a form at (alpha, n).
+
+    n (ln Gamma(a + 1/n) - ln Gamma(a)) - log(a) is about -(n - 1)/(2na) from
+    terms of about n a log(a), and psi(a) + 1/a cancels to about |log10(a)|
+    digits at tiny a.
+    """
+    return 40 + 2 * abs(math.log10(alpha)) + math.log10(n)
 
 
 class TestGammaParams:
@@ -145,6 +191,20 @@ class TestPopulationValues:
         # psi(a) + 1/a - log(a) is psi(a + 1) - log(a): no 1/a is formed, and
         # at a = 5e-324 a/(a + 10) underflows, so its log is taken as a difference
         assert pop_theil(GammaParams(alpha)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(("alpha", "expected"), POP_GINI_MPMATH)
+    def test_gini_at_large_alpha(self, alpha, expected):
+        # Gamma(a + 1/2)/Gamma(a + 1) is about a^(-1/2): a difference of two
+        # ln Gamma of about a log(a) keeps none of its digits at a = 1e16
+        assert pop_gini(GammaParams(alpha)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(("alpha", "expected"), POP_GINI_MPMATH)
+    def test_gini_literals_match_mpmath(self, alpha, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(_dps(alpha)):
+            a = mpmath.mpf(alpha)
+            value = mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a + 1))
+            assert float(value / mpmath.sqrt(mpmath.pi)) == expected
 
     def test_atkinson_at_the_least_subnormal_alpha(self):
         # 1 - exp(psi(a))/a with psi(a) about -1/a: exp underflows to 0
@@ -224,9 +284,10 @@ class TestExpectations:
 
     @pytest.mark.parametrize(("alpha", "n", "expected"), EXPECT_THEIL_TINY_MPMATH)
     def test_theil_at_tiny_alpha(self, alpha, n, expected):
-        # E is about log n, the difference of two numbers of about log(1/a)
+        # E is about log n: summed as log n + psi(a + 1) - psi(na + 1), no two
+        # terms of about log(1/a) cancel
         assert expect_theil(GammaParams(alpha), n).expectation == pytest.approx(
-            expected, rel=1e-14, abs=0.0
+            expected, rel=1e-15, abs=0.0
         )
 
     @pytest.mark.parametrize(
@@ -253,6 +314,22 @@ class TestExpectations:
         assert expect_atkinson(GammaParams(alpha), n).expectation == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize(("alpha", "n", "expected"), EXPECT_ATKINSON_MPMATH)
+    def test_atkinson_at_large_alpha_and_n(self, alpha, n, expected):
+        # E is about (n - 1)/(2na): n (ln Gamma(a + 1/n) - ln Gamma(a)) as a
+        # difference is 1.8e-5 off at a = 5, n = 1e9 and reads 1 at a = 1e300
+        assert expect_atkinson(GammaParams(alpha), n).expectation == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize(("alpha", "n", "expected"), EXPECT_ATKINSON_MPMATH)
+    def test_atkinson_literals_match_mpmath(self, alpha, n, expected):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(_dps(alpha, n)):
+            a = mpmath.mpf(alpha)
+            q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+            assert float(-mpmath.expm1(q)) == expected
 
     @pytest.mark.parametrize(
         ("alpha", "rate", "n", "expectation", "bias"),
@@ -352,6 +429,20 @@ class TestDebias:
             x = mpmath.mpf(alpha) * n
             assert float(mpmath.log(x) - mpmath.digamma(x) - 1 / x) == bias
 
+    @pytest.mark.parametrize(("alpha", "n", "factor"), ATKINSON_FACTOR_MPMATH)
+    def test_atkinson_factor_at_large_alpha_and_n(self, alpha, n, factor):
+        # debias(0) = 1 - factor
+        raw_zero = debias(IndexKind.ATKINSON, GammaParams(alpha), n, 0.0)
+        assert 1.0 - raw_zero == pytest.approx(factor, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(("alpha", "n", "factor"), ATKINSON_FACTOR_MPMATH)
+    def test_atkinson_factor_literals_match_mpmath(self, alpha, n, factor):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(_dps(alpha, n)):
+            a = mpmath.mpf(alpha)
+            q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+            assert float(mpmath.exp(mpmath.digamma(a) - mpmath.log(a) - q)) == factor
+
     @pytest.mark.parametrize("kind", [IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("n", [2, 5, 20])
@@ -365,6 +456,75 @@ class TestDebias:
         assert debias(kind, p, n, r.expectation) == pytest.approx(
             population_value(kind, p), rel=1e-10, abs=1e-13
         )
+
+
+# Shapes log-uniform on [MIN_SHAPE, 1e6] and sizes log-uniform on [1, 1e12].
+_SWEEP_ALPHA = st.floats(math.log10(MIN_SHAPE), 6.0).map(lambda e: min(max(10.0**e, MIN_SHAPE), 1e6))
+_SWEEP_N = st.floats(0.0, 12.0).map(lambda e: round(10.0**e))
+
+
+class TestMpmathSweep:
+    """Every closed form and every debias factor against mpmath, at rel 1e-14.
+
+    Each oracle is the textbook formula, evaluated at ``_dps`` digits.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=_SWEEP_ALPHA)
+    def test_population_values(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        p = GammaParams(alpha)
+        with mpmath.workdps(_dps(alpha)):
+            a = mpmath.mpf(alpha)
+            gini = mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a + 1)) / mpmath.sqrt(mpmath.pi)
+            theil = mpmath.digamma(a) + 1 / a - mpmath.log(a)
+            atkinson = 1 - mpmath.exp(mpmath.digamma(a)) / a
+            want = [float(gini), float(theil), float(atkinson)]
+        assert [pop_gini(p), pop_theil(p), pop_atkinson(p)] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=_SWEEP_ALPHA, n=_SWEEP_N)
+    def test_expectations(self, alpha, n):
+        mpmath = pytest.importorskip("mpmath")
+        p = GammaParams(alpha)
+        if n == 1:
+            assert expect_theil(p, 1).expectation == expect_atkinson(p, 1).expectation == 0.0
+            return
+        with mpmath.workdps(_dps(alpha, n)):
+            a = mpmath.mpf(alpha)
+            na = a * n
+            theil = mpmath.digamma(a) + 1 / a + mpmath.log(n) - mpmath.digamma(na) - 1 / na
+            q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+            vmr = na / (na + 1)
+            want = [float(theil), float(-mpmath.expm1(q)), float(vmr)]
+        got = [expect_theil(p, n).expectation, expect_atkinson(p, n).expectation,
+               expect_vmr(p, n).expectation]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert expect_gini(p, n).expectation == pop_gini(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=_SWEEP_ALPHA, n=_SWEEP_N)
+    def test_debias(self, alpha, n):
+        mpmath = pytest.importorskip("mpmath")
+        p = GammaParams(alpha)
+        with mpmath.workdps(_dps(alpha, n)):
+            a = mpmath.mpf(alpha)
+            na = a * n
+            theil_shift = mpmath.log(na) - mpmath.digamma(na) - 1 / na
+            q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+            factor = mpmath.exp(mpmath.digamma(a) - mpmath.log(a) - q)
+            want_theil, want_factor = float(-theil_shift), float(factor)
+            want_vmr = float((na + 1) / na)
+        assert debias(IndexKind.THEIL_T, p, n, 0.0) == pytest.approx(want_theil, rel=1e-14, abs=0.0)
+        # debias(0) = 1 - factor is a double: 1 - it holds the factor to its half
+        # ulp.  The factor's exponent q + log(a) - psi(a) adds two terms of about
+        # 1/a, so near MIN_SHAPE it keeps about 1e-14 (at most 9.9e-15 seen).
+        assert 1.0 - debias(IndexKind.ATKINSON, p, n, 0.0) == pytest.approx(
+            want_factor, rel=2e-14, abs=2.0**-53
+        )
+        if n >= 2:
+            assert debias(IndexKind.VMR, p, n, 1.0) == pytest.approx(want_vmr, rel=1e-14, abs=0.0)
+            assert debias(IndexKind.GINI, p, n, 0.37) == 0.37
 
 
 class TestExpectationResult:

@@ -25,9 +25,10 @@ from gammadex.special import digamma
 KS_CRIT_0001 = 1.9494746035204052
 
 
-# Reference sampler: Box-Muller and Marsaglia-Tsang over whole arrays, one
-# pass per rejection round, with the uniforms taken in two requests.  The
-# library's sliced round must reproduce it bit for bit.
+# Reference sampler: the exponential by inversion at alpha = 1, else
+# Box-Muller and Marsaglia-Tsang over whole arrays, one pass per rejection
+# round, with the uniforms taken in two requests.  The library's sliced round
+# must reproduce it bit for bit.
 def _ref_normals(rng, size):
     pairs = (size + 1) // 2
     u = rng.uniforms(2 * pairs)
@@ -64,7 +65,9 @@ def _ref_unit_rate(rng, alpha, size):
 
 
 def _ref_gamma_variates(rng, alpha, rate, size):
-    if alpha >= 1.0:
+    if alpha == 1.0:
+        out = -np.log(1.0 - rng.uniforms(size))
+    elif alpha > 1.0:
         out = _ref_unit_rate(rng, alpha, size)
     else:
         out = _ref_unit_rate(rng, alpha + 1.0, size)
@@ -128,6 +131,17 @@ class TestGamma:
         with pytest.raises(NumericError, match="rounded to 0"):
             gamma_variates(RngStream(8, 2), GammaParams(MIN_SHAPE, 1e300), 1_000)
 
+    def test_an_exponential_from_a_zero_uniform_is_an_error(self):
+        # At alpha = 1 only u = 0 gives -log(1 - u) = 0, probability 2^-53 a variate
+        class ZeroFirst(RngStream):
+            def uniforms(self, count):
+                u = super().uniforms(count)
+                u[0] = 0.0
+                return u
+
+        with pytest.raises(NumericError, match="rounded to 0"):
+            gamma_variates(ZeroFirst(8, 3), GammaParams(1.0), 10)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 3.7])
     def test_strictly_positive(self, alpha):
         g = gamma_variates(RngStream(3, 2), GammaParams(alpha, 1.0), 50_000)
@@ -156,6 +170,7 @@ class TestGamma:
             pytest.param(MIN_SHAPE, 1.0, id="MIN_SHAPE-1.0"),
             (0.05, 2.0),
             (0.5, 1.0),
+            (1.0, 3.0),
             (2.0, 3.0),
             (5.0, 0.5),
         ],
@@ -172,7 +187,14 @@ class TestGamma:
         g = gamma_variates(RngStream(2718, 0), GammaParams(alpha, rate), 200_000)
         _band(np.log(g), digamma(alpha) - math.log(rate))
 
-    @pytest.mark.parametrize("alpha", [pytest.param(MIN_SHAPE, id="MIN_SHAPE"), 0.5, 1.0, 3.7, 5.0])
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            pytest.param(MIN_SHAPE, id="MIN_SHAPE"), 0.5, 1.0,
+            # the least shape above 1: Marsaglia-Tsang, next to the exponential branch
+            pytest.param(math.nextafter(1.0, 2.0), id="1.0+ulp"), 3.7, 5.0,
+        ],
+    )
     @pytest.mark.parametrize("size", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 500_001])
     def test_bit_identical_to_whole_round_reference(self, alpha, size):
         got = gamma_variates(RngStream(404, 9), GammaParams(alpha, 1.5), size)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from gammadex.errors import DomainError
 from gammadex.special import (
     digamma, duplication_residual, log_beta, log_gamma, log_minus_digamma,
-    log_minus_digamma_plus_one,
+    log_minus_digamma_plus_one, log_n_digamma_gap, log_power_mean_ratio,
 )
 
 # High-precision reference values (40-digit evaluation, rounded to double).
@@ -150,6 +150,38 @@ def test_duplication_residual_log_grid():
 def test_domain_errors(fn, bad):
     with pytest.raises(DomainError):
         fn(bad)
+
+
+@pytest.mark.parametrize("fn", [log_power_mean_ratio, log_n_digamma_gap])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_two_argument_domain_errors(fn, bad):
+    with pytest.raises(DomainError):
+        fn(bad, 2)
+
+
+def test_digamma_gap_needs_a_finite_nx():
+    with pytest.raises(DomainError):
+        log_n_digamma_gap(1e300, 10**12)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 0.3, 9.99, 10.0, 1e300])
+def test_two_argument_forms_are_zero_at_n_1(x):
+    # Gamma(x + 1) = x Gamma(x), and log 1 + psi(x + 1) - psi(x + 1) = 0
+    assert log_power_mean_ratio(x, 1) == 0.0
+    assert log_n_digamma_gap(x, 1) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10**12])
+def test_power_mean_ratio_where_h_over_x_overflows(n):
+    # h/x overflows at the least subnormal x; q is about (n - 1) log(x), finite
+    q = log_power_mean_ratio(5e-324, n)
+    assert math.isfinite(q)
+    assert q == pytest.approx((n - 1) * math.log(5e-324), rel=0.05)
+
+
+def test_power_mean_ratio_at_the_exponential_is_the_mean_root():
+    # For Y ~ Exp(1), E[Y^(1/2)]^2 = Gamma(3/2)^2 = pi/4
+    assert log_power_mean_ratio(1.0, 2) == pytest.approx(math.log(math.pi / 4.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
