@@ -19,7 +19,11 @@ q(a, n) = n (ln Gamma(a + 1/n) - ln Gamma(a)) - log a
 (``special.log_power_mean_ratio``): E[A_n] = 1 - exp(q(a, n)) and
 Gini = sqrt(exp(q(a, 2)) / (pi a)).  It is summed from terms in which
 nothing large cancels, so powers like Gamma^n never overflow and E[A_n]
-keeps its relative accuracy where it is about (n - 1)/(2na).
+keeps its relative accuracy where it is about (n - 1)/(2na).  Atkinson's
+bias and ``debias`` factor rest on g(a, n) = q(a, n) + log a - psi(a)
+(``special.log_power_geometric_ratio``), summed with each lnGamma term
+paired with the psi term it would cancel: the bias is exp(q) expm1(-g) and
+the factor exp(-g), accurate where g is far below 1/a.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NumericError, SizeError
 from .indices import IndexKind, SampleLike, as_sample, compute_index
 from .special import (_require_positive, log_minus_digamma, log_minus_digamma_plus_one,
-                      log_n_digamma_gap, log_power_mean_ratio)
+                      log_n_digamma_gap, log_power_geometric_ratio, log_power_mean_ratio)
 
 __all__ = [
     "GammaParams",
@@ -66,18 +70,18 @@ class GammaParams:
 class ExpectationResult:
     """Exact E[estimator] next to the population value it estimates.
 
-    ``bias`` is always the literal difference ``expectation - population``
-    of the two evaluated fields, never a separately coded formula.
+    ``bias`` is ``expectation - population`` from its own closed form, the
+    correction ``debias`` undoes: 0 for Gini, log(na) - psi(na + 1) for
+    Theil, exp(q) expm1(-g) for Atkinson and -1/((na + 1) rate) for VMR.  It
+    keeps its relative accuracy where it is far below both fields, which
+    their literal difference does not.
     """
 
     kind: IndexKind
     n: int
     expectation: float
     population: float
-
-    @property
-    def bias(self) -> float:
-        return self.expectation - self.population
+    bias: float
 
 
 def pop_gini(params: GammaParams) -> float:
@@ -135,7 +139,7 @@ def expect_gini(params: GammaParams, n: int) -> ExpectationResult:
     """E[G_n] for n >= 2; equals the population value (unbiased)."""
     n = _require_n(n, IndexKind.GINI.min_n, "gini expectation")
     g = pop_gini(params)
-    return ExpectationResult(IndexKind.GINI, n, g, g)
+    return ExpectationResult(IndexKind.GINI, n, g, g, 0.0)
 
 
 def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
@@ -143,14 +147,20 @@ def expect_theil(params: GammaParams, n: int) -> ExpectationResult:
     n = _require_n(n, IndexKind.THEIL_T.min_n, "theil expectation")
     # log n + psi(a + 1) - psi(na + 1): no two terms of size log(1/a) at tiny a
     e = log_n_digamma_gap(params.alpha, n)
-    return ExpectationResult(IndexKind.THEIL_T, n, e, pop_theil(params))
+    bias = log_minus_digamma_plus_one(n * params.alpha)
+    return ExpectationResult(IndexKind.THEIL_T, n, e, pop_theil(params), bias)
 
 
 def expect_atkinson(params: GammaParams, n: int) -> ExpectationResult:
     """E[A_n] for n >= 1; exactly zero at n = 1 (Gamma(a+1) = a Gamma(a))."""
     n = _require_n(n, IndexKind.ATKINSON.min_n, "atkinson expectation")
-    e = 0.0 if n == 1 else -math.expm1(log_power_mean_ratio(params.alpha, n))
-    return ExpectationResult(IndexKind.ATKINSON, n, e, pop_atkinson(params))
+    a = params.alpha
+    q = log_power_mean_ratio(a, n)
+    e = -math.expm1(q)  # exactly 0 at n = 1, where q = 0
+    # exp(-L) - exp(q) = exp(q) expm1(-g) with g = q + L >= 0 and q <= 0: no
+    # cancellation, and no 0 * inf where L and g overflow at tiny a
+    bias = math.exp(q) * math.expm1(-log_power_geometric_ratio(a, n))
+    return ExpectationResult(IndexKind.ATKINSON, n, e, pop_atkinson(params), bias)
 
 
 def expect_vmr(params: GammaParams, n: int) -> ExpectationResult:
@@ -158,7 +168,8 @@ def expect_vmr(params: GammaParams, n: int) -> ExpectationResult:
     n = _require_n(n, IndexKind.VMR.min_n, "vmr expectation")
     na = n * params.alpha
     e = na / ((na + 1.0) * params.rate)
-    return ExpectationResult(IndexKind.VMR, n, e, pop_vmr(params))
+    bias = -1.0 / ((na + 1.0) * params.rate)
+    return ExpectationResult(IndexKind.VMR, n, e, pop_vmr(params), bias)
 
 
 _EXPECT_DISPATCH = {
@@ -178,9 +189,9 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
 
     Gini is returned unchanged (already unbiased).  Theil subtracts the
     additive bias log(na) - psi(na) - 1/(na).  Atkinson rescales 1 - raw
-    by exp(psi(a)) Gamma^n(a) / Gamma^n(a + 1/n).  VMR is multiplied by
-    (na + 1)/(na).  Each is one formula at every n: at n = 1, where
-    T_1 = A_1 = 0, a raw 0 maps to the population Theil exactly and to the
+    by exp(psi(a)) Gamma^n(a) / Gamma^n(a + 1/n), that is exp(-g(a, n)).
+    VMR is multiplied by (na + 1)/(na).  Each is one formula at every n: at
+    n = 1, where T_1 = A_1 = 0, a raw 0 maps to the population Theil exactly and to the
     population Atkinson up to rounding.  The rate cancels out of every
     correction, but each is exact only at the true shape: at an estimated
     one, such as ``alpha_plug_in``'s, the result is still biased.
@@ -193,8 +204,7 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     if kind is IndexKind.THEIL_T:
         return raw - log_minus_digamma_plus_one(n * a)
     if kind is IndexKind.ATKINSON:
-        factor = math.exp(-(log_power_mean_ratio(a, n) + log_minus_digamma(a)))
-        return 1.0 - (1.0 - raw) * factor
+        return 1.0 - (1.0 - raw) * math.exp(-log_power_geometric_ratio(a, n))
     na = n * a  # VMR
     return raw * (na + 1.0) / na
 

@@ -8,7 +8,12 @@ standard normal z are accepted when u < 1 - 0.0331 z^4 or
 log(u) < z^2/2 + d(1 - v + log v).  Shapes below one are generated at
 alpha + 1 and scaled by u^(1/alpha).  Normals come from Box-Muller
 pairs, so the number of uniforms consumed is a deterministic function
-of the acceptance pattern and sequences replay exactly.  Each rejection
+of the acceptance pattern and sequences replay exactly.  A pair's cosine
+and sine of theta = 2 pi u come from one tangent of the half angle,
+t = tan(pi u): cos = (1 - t)(1 + t)/(1 + t^2) and sin = 2t/(1 + t^2),
+with r/(1 + t^2) formed first.  numpy runs tan in one SIMD loop where the
+CPU has one, and sin and cos through scalar libm; at u = 1/2, t stays
+finite because fl(pi/2) is below pi/2.  Each rejection
 round takes all its uniforms in one request and is evaluated in
 cache-sized slices, with the same result as one pass over the round.
 
@@ -59,16 +64,29 @@ def _box_muller(radius_u: np.ndarray, angle_u: np.ndarray, out: np.ndarray) -> n
     """Fill ``out`` with the normals of the uniform pairs (radius_u[i], angle_u[i]).
 
     Pair i gives out[2i] = r cos(theta) and out[2i + 1] = r sin(theta), with
-    r = sqrt(-2 log(1 - radius_u[i])) and theta = 2 pi angle_u[i].
+    r = sqrt(-2 log(1 - radius_u[i])) and theta = 2 pi angle_u[i].  Both come
+    from one tangent of the half angle, t = tan(pi angle_u[i]):
+    cos(theta) = (1 - t)(1 + t)/(1 + t^2) and sin(theta) = 2t/(1 + t^2).
+    r/(1 + t^2) is formed first, so no product of t^2 and r overflows, and
+    (1 - t)(1 + t) keeps its relative accuracy near t = +-1, where 1 - t^2
+    would not.  At angle_u = 1/2, fl(pi/2) is below pi/2, so t = 1.6e16
+    stays finite and the pair is (-r, 1.2e-16 r), as sin(fl(pi)) gives.
     """
     r = np.negative(radius_u)
     np.log1p(r, out=r)  # 1 - u lies in (0, 1], keeping the log finite
     r *= -2.0
     np.sqrt(r, out=r)
-    theta = np.multiply(angle_u, 2.0 * np.pi)
-    np.multiply(r, np.cos(theta), out=out[0::2])
-    np.sin(theta, out=theta)
-    np.multiply(r, theta, out=out[1::2])
+    t = np.multiply(angle_u, np.pi)
+    np.tan(t, out=t)  # one SIMD loop where numpy has one, unlike sin and cos
+    rh = np.multiply(t, t)
+    rh += 1.0
+    np.divide(r, rh, out=rh)  # r_h = r/(1 + t^2)
+    sin = np.multiply(rh, t, out=out[1::2])
+    sin *= 2.0  # r_h (2t), as doubling is exact
+    cos = np.subtract(1.0, t, out=out[0::2])
+    cos *= rh
+    t += 1.0
+    cos *= t  # (1 - t) r_h (1 + t)
     return out
 
 

@@ -10,8 +10,9 @@ test suite:
 * ``digamma``:   absolute error <= 1e-10 on [1e-3, 1e6]
 * ``log_minus_digamma`` and ``log_minus_digamma_plus_one``: relative
   error <= 1e-12 for x > 0
-* ``log_power_mean_ratio`` and ``log_n_digamma_gap``: relative error
-  <= 1e-14 for x >= 0.0493 and 1 <= n <= 1e12
+* ``log_power_mean_ratio``, ``log_power_geometric_ratio`` and
+  ``log_n_digamma_gap``: relative error <= 1e-14 for x >= 0.0493 and
+  1 <= n <= 1e12
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 from .errors import DomainError
 
 __all__ = ["log_gamma", "digamma", "log_minus_digamma", "log_minus_digamma_plus_one",
-           "log_power_mean_ratio", "log_n_digamma_gap", "log_beta", "duplication_residual"]
+           "log_power_mean_ratio", "log_power_geometric_ratio", "log_n_digamma_gap",
+           "log_beta", "duplication_residual"]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 _HALF_LOG_PI = 0.5723649429247001  # ln(pi)/2
@@ -43,10 +45,6 @@ _LGAMMA_COEF = (
     -3617.0 / 122400.0,
 )
 
-# log1p(t) = 2 atanh(s) = 2s (1 + s^2/3 + s^4/5 + ...) with s = t/(2 + t):
-# the coefficients 1/(2k + 1) of s^2k, k = 1..8, enough for s <= 1/21.
-_ATANH_COEF = tuple(1.0 / (2 * k + 1) for k in range(1, 9))
-
 # Stirling series for psi: coefficients of x^-2k, B_2k / (2k).
 _DIGAMMA_COEF = (
     1.0 / 12.0,
@@ -64,6 +62,16 @@ def _require_positive(x: float, name: str) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"{name} must be a finite positive real, got {x!r}")
     return x
+
+
+def _atanh_tail(s2: float) -> float:
+    """s^2/3 + s^4/5 + ... + s^16/17 at s2 = s^2.
+
+    log1p(t) = 2 atanh(s) = 2s (1 + tail) with s = t/(2 + t).  The first
+    omitted term is below 1e-17 of s for s <= 1/9, that is t <= 1/4.
+    """
+    return s2 * (1 / 3 + s2 * (1 / 5 + s2 * (1 / 7 + s2 * (1 / 9 + s2 * (
+        1 / 11 + s2 * (1 / 13 + s2 * (1 / 15 + s2 * (1 / 17))))))))
 
 
 def log_gamma(x: float) -> float:
@@ -178,11 +186,7 @@ def log_power_mean_ratio(x: float, n: int) -> float:
         y += 1.0
     t = h / y
     s = t / (2.0 + t)
-    s2 = s * s
-    tail = 0.0
-    for c in reversed(_ATANH_COEF):
-        tail = tail * s2 + c
-    tail *= s2  # s^2/3 + s^4/5 + ...
+    tail = _atanh_tail(s * s)
     log1p_over_t = (1.0 - s) * (1.0 + tail)
     log1p_t = t * log1p_over_t
     terms.append((1.0 - s) * tail - s)  # n y log1pmx(t) = log1pmx(t)/t, as n y t = 1
@@ -201,6 +205,61 @@ def log_power_mean_ratio(x: float, n: int) -> float:
     series = 0.0
     for c in _LGAMMA_COEF:
         series += c * power * e
+        e += d * (1.0 + e)
+        power *= step
+    terms.append(n * series)
+    return math.fsum(terms)
+
+
+def log_power_geometric_ratio(x: float, n: int) -> float:
+    """g(x, n) = q(x, n) + log x - psi(x) = n (ln Gamma(x + 1/n) - ln Gamma(x)) - psi(x).
+
+    For x > 0 and whole n >= 1.  For Y ~ Gamma(x, 1) this is
+    log(E[Y^(1/n)]^n / exp(E[log Y])), the log of the power mean of order
+    1/n over the geometric mean: log x - psi(x) at n = 1, falling to 0 as n
+    grows.  Each piece of ln Gamma's difference is paired with the piece of
+    psi it would cancel, so the terms summed by ``math.fsum`` are all
+    positive, or tiny, and g keeps its relative accuracy where it is far
+    below 1/x and 1:
+
+    * x is lifted to y = x + m >= 10, each shift pairing -n log1p(r) with
+      psi's 1/(x + j) as -n log1pmx(r), r = h/(x + j) and h = 1/n;
+    * at y, with t = h/y and s = t/(2 + t), Stirling's form and
+      log y - 1/(2y) give (1 + t) log1p(t)/t - 1 and -(n/2) log1pmx(t);
+    * the kernel's series term c_k y^-(2k-1) pairs with psi's (2k - 1) c_k y^-2k
+      as n c_k y^-(2k-1) ((1 + t)^-(2k-1) - 1 + (2k - 1) t), k = 1..8.
+    """
+    x = _require_positive(x, "x")
+    h = 1.0 / n
+    terms = []
+    y = x
+    while y < _SERIES_START:
+        r = h / y
+        if r > 0.25:  # r - log1p(r) loses at most 9.3x its rounding here
+            # where h/y overflows, so does 1/y, which outgrows n log1p(h/y)
+            terms.append(1.0 / y - n * math.log1p(r) if r < math.inf else math.inf)
+        else:  # -n log1pmx(r) = -log1pmx(r)/(r y), from the atanh series in s
+            s = r / (2.0 + r)
+            terms.append((s - (1.0 - s) * _atanh_tail(s * s)) / y)
+        y += 1.0
+    t = h / y
+    s = t / (2.0 + t)
+    tail = _atanh_tail(s * s)
+    terms.append(s + tail * (1.0 + s))  # (1 + t) log1p(t)/t - 1, as 1 + t = (1 + s)/(1 - s)
+    terms.append((s - (1.0 - s) * tail) / (2.0 * y))  # -(n/2) log1pmx(t), as n t = 1/y
+    # f_m = (1 + t)^-m - 1 + m t from f_1 = t^2/(1 + t) and the two-step
+    # f_(m+2) = f_m + f_2 + e_m d, with e_m = (1 + t)^-m - 1 and d = e_2: the
+    # terms have one sign, so nothing cancels
+    e = -t / (1.0 + t)
+    d = e * (2.0 + e)
+    f = t * t / (1.0 + t)
+    f2 = t * t * (3.0 + 2.0 * t) / ((1.0 + t) * (1.0 + t))
+    power = 1.0 / y
+    step = power * power
+    series = 0.0
+    for c in _LGAMMA_COEF:
+        series += c * power * f
+        f += f2 + e * d
         e += d * (1.0 + e)
         power *= step
     terms.append(n * series)

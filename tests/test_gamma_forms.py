@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import (
-    ExpectationResult,
     GammaParams,
     alpha_plug_in,
     debias,
@@ -16,6 +15,7 @@ from gammadex.gamma_forms import (
     expect_gini,
     expect_theil,
     expect_vmr,
+    expectation,
     pop_atkinson,
     pop_gini,
     pop_theil,
@@ -114,6 +114,16 @@ ATKINSON_FACTOR_MPMATH = [
     (0.5, 10**12, 0.9999999999975326),
     (1e3, 10**3, 0.9999994997502086),
     (1e6, 2, 0.9999997499999479),
+]
+
+# Biases far below the fields they separate, from mpmath at 80 digits, rounded
+# to double: log(na) - psi(na + 1), -1/((na + 1) rate), and
+#   exp(psi(a) - log(a)) - exp(q), q as above.
+# The literal differences of the fields are 2.2e-9, 9.2e-16 and 6.8e-6 off.
+BIAS_MPMATH = [
+    (IndexKind.THEIL_T, 5.0, 1.0, 10**9, -9.999999999666667e-11),
+    (IndexKind.VMR, 2.0, 3.0, 5, -0.030303030303030304),
+    (IndexKind.ATKINSON, 0.5, 1.0, 10**12, -6.926728737557032e-13),
 ]
 
 ALPHAS = (0.5, 1.0, 2.0, 3.7, 5.0, 100.0)
@@ -449,7 +459,7 @@ class TestDebias:
     def test_debiasing_expectation_recovers_population(self, kind, alpha, n):
         # Debias is affine, so applying it to E[estimator] must give the
         # population value for every cell.
-        from gammadex.gamma_forms import expectation, population_value
+        from gammadex.gamma_forms import population_value
 
         p = GammaParams(alpha, 1.7)
         r = expectation(kind, p, n)
@@ -517,20 +527,49 @@ class TestMpmathSweep:
             want_vmr = float((na + 1) / na)
         assert debias(IndexKind.THEIL_T, p, n, 0.0) == pytest.approx(want_theil, rel=1e-14, abs=0.0)
         # debias(0) = 1 - factor is a double: 1 - it holds the factor to its half
-        # ulp.  The factor's exponent q + log(a) - psi(a) adds two terms of about
-        # 1/a, so near MIN_SHAPE it keeps about 1e-14 (at most 9.9e-15 seen).
+        # ulp.  The factor's exponent g = q + log(a) - psi(a) pairs its terms of
+        # about 1/a, so it holds the factor to 1e-14 near MIN_SHAPE too.
         assert 1.0 - debias(IndexKind.ATKINSON, p, n, 0.0) == pytest.approx(
-            want_factor, rel=2e-14, abs=2.0**-53
+            want_factor, rel=1e-14, abs=2.0**-53
         )
         if n >= 2:
             assert debias(IndexKind.VMR, p, n, 1.0) == pytest.approx(want_vmr, rel=1e-14, abs=0.0)
             assert debias(IndexKind.GINI, p, n, 0.37) == 0.37
 
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=_SWEEP_ALPHA, n=_SWEEP_N)
+    def test_biases(self, alpha, n):
+        mpmath = pytest.importorskip("mpmath")
+        p = GammaParams(alpha, 3.0)
+        with mpmath.workdps(_dps(alpha, n)):
+            a = mpmath.mpf(alpha)
+            na = a * n
+            theil = mpmath.log(na) - mpmath.digamma(na + 1)
+            q = n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.log(a)
+            atkinson = mpmath.exp(mpmath.digamma(a) - mpmath.log(a)) - mpmath.exp(q)
+            want = [float(theil), float(atkinson)]
+            want_vmr = float(-1 / ((na + 1) * 3))
+        got = [expect_theil(p, n).bias, expect_atkinson(p, n).bias]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if n >= 2:
+            assert expect_vmr(p, n).bias == pytest.approx(want_vmr, rel=1e-14, abs=0.0)
+            assert expect_gini(p, n).bias == 0.0
+
 
 class TestExpectationResult:
-    def test_bias_is_literal_difference(self):
-        r = ExpectationResult(IndexKind.THEIL_T, 5, 0.25, 0.2)
-        assert r.bias == 0.25 - 0.2
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_bias_matches_literal_difference_at_moderate_n(self, kind, alpha, n):
+        # the bias is its own closed form; where it is not far below the two
+        # fields, their difference holds it to about eps/|bias|
+        r = expectation(kind, GammaParams(alpha, 3.0), n)
+        assert r.bias == pytest.approx(r.expectation - r.population, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize(("kind", "alpha", "rate", "n", "expected"), BIAS_MPMATH)
+    def test_bias_far_below_the_fields_matches_mpmath(self, kind, alpha, rate, n, expected):
+        r = expectation(kind, GammaParams(alpha, rate), n)
+        assert r.bias == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_gini_bias_zero_invariant(self):
         for alpha in ALPHAS:

@@ -11,6 +11,7 @@ from gammadex.rng import RngStream
 from gammadex.sampling import (
     _CHUNK,
     MIN_SHAPE,
+    _box_muller,
     beta_variate,
     beta_variates,
     dirichlet_variate,
@@ -26,17 +27,19 @@ KS_CRIT_0001 = 1.9494746035204052
 
 
 # Reference sampler: the exponential by inversion at alpha = 1, else
-# Box-Muller and Marsaglia-Tsang over whole arrays, one pass per rejection
+# Box-Muller (cosine and sine from the tangent of the half angle) and
+# Marsaglia-Tsang over whole arrays, one pass per rejection
 # round, with the uniforms taken in two requests.  The library's sliced round
 # must reproduce it bit for bit.
 def _ref_normals(rng, size):
     pairs = (size + 1) // 2
     u = rng.uniforms(2 * pairs)
     r = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-    theta = (2.0 * np.pi) * u[pairs:]
+    t = np.tan(np.pi * u[pairs:])  # of half the angle 2 pi u
+    r_h = r / (1.0 + t * t)
     out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    out[0::2] = (1.0 - t) * r_h * (1.0 + t)
+    out[1::2] = r_h * (2.0 * t)
     return out[:size]
 
 
@@ -223,6 +226,66 @@ class TestNormals:
     def test_bit_identical_to_reference(self, size):
         got = standard_normals(RngStream(12, 3), size)
         assert got.tobytes() == _ref_normals(RngStream(12, 3), size).tobytes()
+
+
+def _square(a):
+    """a*a as an unevaluated sum hi + lo, exactly (Veltkamp split, Dekker's product)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * a
+    return hi, ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
+
+
+# Angle uniforms where the half angle meets 0, pi/4, the pole pi/2 and pi, each
+# with every radius from r = 0 to the largest, r = sqrt(106 log 2).
+_EDGE_ANGLES = np.array([0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.75, 1.0 - 2.0**-53])
+_EDGE_RADII = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+
+
+def _angle_grid(name):
+    """(radius uniforms, angle uniforms): 1M pairs from a stream, or the edge pairs."""
+    if name == "stream":
+        u = RngStream(31, 4).uniforms(2 * 10**6)
+        return u[: 10**6], u[10**6 :]
+    radius_u, angle_u = np.meshgrid(_EDGE_RADII, _EDGE_ANGLES)
+    return radius_u.ravel(), angle_u.ravel()
+
+
+class TestBoxMullerHalfAngle:
+    """The pair from t = tan(pi u) against r cos(2 pi u) and r sin(2 pi u)."""
+
+    @pytest.mark.parametrize("grid", ["stream", "edges"])
+    def test_matches_cos_and_sin_of_the_angle(self, grid):
+        radius_u, angle_u = _angle_grid(grid)
+        with np.errstate(all="raise"):
+            z = _box_muller(radius_u, angle_u, np.empty(2 * radius_u.size))
+        assert np.isfinite(z).all()
+        r = np.sqrt(-2.0 * np.log1p(-radius_u))
+        theta = 2.0 * np.pi * angle_u
+        assert np.abs(z[0::2] - r * np.cos(theta)).max() <= 1e-14
+        assert np.abs(z[1::2] - r * np.sin(theta)).max() <= 1e-14
+
+    @pytest.mark.parametrize("grid", ["stream", "edges"])
+    def test_pair_lies_on_the_circle(self, grid):
+        # c^2 + s^2 = 1 holds for any t, so only the formula's roundings show:
+        # relative errors of at most u = eps/2 from t*t, + 1, r/, 1 - t, 1 + t
+        # and two products in the cosine, doubled by the square, give 7 eps.
+        # (Over 1M uniforms the largest seen is about 4 eps.)
+        radius_u, angle_u = _angle_grid(grid)
+        z = _box_muller(radius_u, angle_u, np.empty(2 * radius_u.size))
+        r = np.sqrt(-2.0 * np.log1p(-radius_u))  # the library's radius, bit for bit
+        keep = r > 0.0
+        (c_hi, c_lo), (s_hi, s_lo), (r_hi, r_lo) = (
+            _square(v[keep]) for v in (z[0::2], z[1::2], r)
+        )
+        # (c^2 + s^2) - r^2 to far better than eps r^2: the sum of the high parts
+        # by TwoSum, whose difference from r_hi is exact (Sterbenz)
+        total = c_hi + s_hi
+        back = total - c_hi
+        err = (c_hi - (total - back)) + (s_hi - back)
+        gap = (total - r_hi) + (err + c_lo + s_lo - r_lo)
+        assert np.abs(gap / r_hi).max() <= 7 * np.finfo(float).eps
 
 
 class TestBeta:

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from gammadex.errors import DomainError
 from gammadex.special import (
     digamma, duplication_residual, log_beta, log_gamma, log_minus_digamma,
-    log_minus_digamma_plus_one, log_n_digamma_gap, log_power_mean_ratio,
+    log_minus_digamma_plus_one, log_n_digamma_gap, log_power_geometric_ratio,
+    log_power_mean_ratio,
 )
 
 # High-precision reference values (40-digit evaluation, rounded to double).
@@ -152,7 +153,7 @@ def test_domain_errors(fn, bad):
         fn(bad)
 
 
-@pytest.mark.parametrize("fn", [log_power_mean_ratio, log_n_digamma_gap])
+@pytest.mark.parametrize("fn", [log_power_mean_ratio, log_n_digamma_gap, log_power_geometric_ratio])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_two_argument_domain_errors(fn, bad):
     with pytest.raises(DomainError):
@@ -177,6 +178,39 @@ def test_power_mean_ratio_where_h_over_x_overflows(n):
     q = log_power_mean_ratio(5e-324, n)
     assert math.isfinite(q)
     assert q == pytest.approx((n - 1) * math.log(5e-324), rel=0.05)
+
+
+# g(x, n) = n (ln Gamma(x + 1/n) - ln Gamma(x)) - psi(x) from mpmath, rounded to double:
+#   mpmath.mp.dps = 60 + 2 * abs(math.log10(x)) + math.log10(n); a = mpmath.mpf(x)
+#   float(n * (mpmath.loggamma(a + mpmath.mpf(1) / n) - mpmath.loggamma(a)) - mpmath.digamma(a))
+POWER_GEOMETRIC_MPMATH = [
+    (0.0493, 2, 15.77873394757629),
+    (0.05, 10**12, 2.0076617866839052e-10),
+    (0.5, 10**12, 2.467401100269535e-12),
+    (1.0, 2, 0.3356511896310424),
+    (3.7, 7, 0.021827988059123428),
+    (1e3, 10**3, 5.002499164999834e-07),
+    (1e6, 2, 2.5000008333334375e-07),
+]
+
+
+@pytest.mark.parametrize(("x", "n", "expected"), POWER_GEOMETRIC_MPMATH)
+def test_power_geometric_ratio_literals(x, n, expected):
+    # about psi'(x)/(2n) at large n, far below the 1/x and 1 that pairing keeps
+    # from cancelling
+    assert log_power_geometric_ratio(x, n) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.0493, 0.3, 1.0, 9.99, 10.0, 1e6, 1e300])
+def test_power_geometric_ratio_at_n_1_is_log_minus_digamma(x):
+    # Gamma(x + 1) = x Gamma(x), so g(x, 1) = log x - psi(x)
+    assert log_power_geometric_ratio(x, 1) == pytest.approx(log_minus_digamma(x), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10**12])
+def test_power_geometric_ratio_where_h_over_x_overflows(n):
+    # g is about 1/x, which overflows: +inf, not the nan of inf - inf
+    assert log_power_geometric_ratio(5e-324, n) == math.inf
 
 
 def test_power_mean_ratio_at_the_exponential_is_the_mean_root():

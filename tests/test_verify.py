@@ -1,5 +1,6 @@
 """Verification harness: batch estimators, block engine, identity checks, MC reports."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -397,7 +398,7 @@ class TestMultiplicityAllowance:
         def moved(kind, params, n):
             r = exact(kind, params, n)
             if kind is IndexKind.THEIL_T and (params.alpha, params.rate, n) in cells:
-                return type(r)(r.kind, r.n, r.expectation + 1.0, r.population)
+                return dataclasses.replace(r, expectation=r.expectation + 1.0)
             return r
 
         monkeypatch.setattr(verify, "expectation", moved)
