@@ -1,8 +1,13 @@
 """Gamma, beta, and Dirichlet variate generation over RngStream.
 
-At shape one the gamma law is the exponential, drawn by inversion as
--log(1 - u): exactly one uniform per variate, with no normals and no
-rejection.  Every other shape uses the Marsaglia-Tsang squeeze method: with
+Three shapes of the verification grid are drawn by exact constructions,
+one uniform per variate and no rejection.  At shape one the gamma law is
+the exponential, -log(1 - u) by inversion, and at shape two it is the
+Erlang sum of two exponentials, -log((1 - u1)(1 - u2)).  At shape one
+half, a Box-Muller pair gives two independent Gamma(1/2) variates,
+E cos^2(theta) and E sin^2(theta), as E = r^2/2 ~ Gamma(1) and
+cos^2(theta) ~ Beta(1/2, 1/2) (Lukacs): each is a halved squared normal,
+Z^2/2.  Every other shape uses the Marsaglia-Tsang squeeze method: with
 d = alpha - 1/3 and c = 1/sqrt(9d), candidates d*(1 + c*z)^3 from a
 standard normal z are accepted when u < 1 - 0.0331 z^4 or
 log(u) < z^2/2 + d(1 - v + log v).  Shapes below one are generated at
@@ -20,7 +25,9 @@ cache-sized slices, with the same result as one pass over the round.
 Each variate is drawn once, never redrawn: a shape below ``MIN_SHAPE``,
 where draws round to 0, is a ``DomainError``, and a 0 from an allowed
 shape raises ``NumericError``.  At shape one a 0 comes only from u = 0,
-with probability 2^-53 per variate, the resolution ``MIN_SHAPE`` is set at.
+at shape two only from two uniforms of 0, and at shape one half from a
+radius uniform of 0 or, in a sine half, an angle uniform of 0: at most
+2^-52 per variate, about the resolution ``MIN_SHAPE`` is set at.
 
 Beta and Dirichlet variates are gamma ratios: X/(X+Y) for Beta(a, b),
 and a normalized vector of i.i.d. gammas for the symmetric Dirichlet.
@@ -71,6 +78,8 @@ def _box_muller(radius_u: np.ndarray, angle_u: np.ndarray, out: np.ndarray) -> n
     (1 - t)(1 + t) keeps its relative accuracy near t = +-1, where 1 - t^2
     would not.  At angle_u = 1/2, fl(pi/2) is below pi/2, so t = 1.6e16
     stays finite and the pair is (-r, 1.2e-16 r), as sin(fl(pi)) gives.
+    ``out`` may be the buffer that holds the uniforms: they are read before
+    it is written.
     """
     r = np.negative(radius_u)
     np.log1p(r, out=r)  # 1 - u lies in (0, 1], keeping the log finite
@@ -158,11 +167,22 @@ def _gamma_unit_rate(rng: RngStream, alpha: float, size: int) -> np.ndarray:
 def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray:
     """size i.i.d. gamma(shape=alpha, rate) variates; alpha >= ``MIN_SHAPE``.
 
-    alpha = 1 is the exponential, -log(1 - u) from exactly ``size`` uniforms;
-    its draw is 0 only where u = 0, probability 2^-53 per variate, and that
-    0 raises ``NumericError`` as at any other shape.  alpha > 1 is
-    Marsaglia-Tsang, and alpha < 1 is drawn at alpha + 1 and scaled by
-    u^(1/alpha) from ``size`` more uniforms.
+    Three shapes take one uniform per variate, in one request, and no
+    rejection:
+
+    * alpha = 1/2: Z^2/2 of the normals of ceil(size/2) Box-Muller pairs,
+      2*ceil(size/2) uniforms.  Every pair's cosine half comes first, then
+      every pair's sine half, so the two draws of one radius lie
+      ceil(size/2) apart.  Side by side, a sample of two consecutive draws
+      would have a Gini, Theil or Atkinson index that depends on the angle
+      alone, untouched by the radius.
+    * alpha = 1: the exponential, -log(1 - u) from exactly ``size`` uniforms.
+    * alpha = 2: -log((1 - u_j)(1 - u_(size + j))) for variate j, from 2*size
+      uniforms.
+
+    Any other alpha > 1 is Marsaglia-Tsang, and alpha < 1 is drawn at
+    alpha + 1 and scaled by u^(1/alpha) from ``size`` more uniforms.  A
+    variate of 0 raises ``NumericError``.
     """
     alpha = params.alpha
     if alpha < MIN_SHAPE:
@@ -172,10 +192,25 @@ def gamma_variates(rng: RngStream, params: GammaParams, size: int) -> np.ndarray
         raise SizeError(f"size must be non-negative, got {size}")
     if size == 0:
         return np.empty(0)
-    if alpha == 1.0:
-        # the exponential law, by inversion: one uniform per variate, no rejection
-        out = rng.uniforms(size)
-        np.subtract(1.0, out, out=out)  # exact, as u = k 2^-53; (0, 1]
+    if alpha == 0.5:
+        # Z^2/2 = E cos^2(theta) and E sin^2(theta), E = r^2/2 ~ Gamma(1) and
+        # cos^2(theta) ~ Beta(1/2, 1/2): Lukacs' pair of Gamma(1/2) variates
+        pairs = (size + 1) // 2
+        u = rng.uniforms(2 * pairs)
+        z = _box_muller(u[:pairs], u[pairs:], u)
+        out = np.empty(2 * pairs)
+        np.multiply(z[0::2], z[0::2], out=out[:pairs])  # every cosine half,
+        np.multiply(z[1::2], z[1::2], out=out[pairs:])  # then every sine half
+        out *= 0.5
+        out = out[:size]
+    elif alpha in (1.0, 2.0):
+        # Erlang(k), -log of the product of k complements: at k = 2 variate
+        # j takes uniforms j and size + j
+        k = int(alpha)
+        u = rng.uniforms(k * size)
+        np.subtract(1.0, u, out=u)  # exact, as u is a multiple of 2^-53; (0, 1]
+        # a product is still in (0, 1], as it is at most either factor
+        out = u if k == 1 else np.multiply(u[:size], u[size:])
         np.log(out, out=out)
         np.negative(out, out=out)
     elif alpha > 1.0:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import (
@@ -215,6 +215,25 @@ class TestPopulationValues:
             a = mpmath.mpf(alpha)
             value = mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a + 1))
             assert float(value / mpmath.sqrt(mpmath.pi)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(-310.0, 0.0).map(lambda e: max(10.0**e, 5e-324)))
+    @example(alpha=5e-324)
+    @example(alpha=1e-310)
+    @example(alpha=1e-300)
+    @example(alpha=1e-12)
+    @example(alpha=0.01)
+    @example(alpha=math.nextafter(0.01, 1.0))
+    def test_gini_at_small_alpha(self, alpha):
+        # Gamma(a + 1/2)/(sqrt(pi) Gamma(a + 1)) is about 1 - 2 log(2) a, while
+        # exp(q)/(pi a) with q about log(pi a) would keep only eps |log a|
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(_dps(alpha)):
+            a = mpmath.mpf(alpha)
+            value = mpmath.exp(mpmath.loggamma(a + 0.5) - mpmath.loggamma(a + 1))
+            want = float(value / mpmath.sqrt(mpmath.pi))
+        tol = 4e-15 if alpha <= 1e-12 else 1e-15
+        assert pop_gini(GammaParams(alpha)) == pytest.approx(want, rel=tol, abs=0.0)
 
     def test_atkinson_at_the_least_subnormal_alpha(self):
         # 1 - exp(psi(a))/a with psi(a) about -1/a: exp underflows to 0

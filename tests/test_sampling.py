@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gammadex import verify
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import GammaParams
 from gammadex.rng import RngStream
@@ -26,11 +27,12 @@ from gammadex.special import digamma
 KS_CRIT_0001 = 1.9494746035204052
 
 
-# Reference sampler: the exponential by inversion at alpha = 1, else
-# Box-Muller (cosine and sine from the tangent of the half angle) and
-# Marsaglia-Tsang over whole arrays, one pass per rejection
-# round, with the uniforms taken in two requests.  The library's sliced round
-# must reproduce it bit for bit.
+# Reference sampler: halved squares of Box-Muller normals (cosine and sine
+# from the tangent of the half angle) at alpha = 1/2, every cosine half then
+# every sine half; the exponential and its two-uniform sum by inversion at
+# alpha = 1 and 2; else Marsaglia-Tsang over whole arrays, one pass per
+# rejection round, with the uniforms taken in two requests.  The library's
+# in-place forms and sliced round must reproduce it bit for bit.
 def _ref_normals(rng, size):
     pairs = (size + 1) // 2
     u = rng.uniforms(2 * pairs)
@@ -68,8 +70,15 @@ def _ref_unit_rate(rng, alpha, size):
 
 
 def _ref_gamma_variates(rng, alpha, rate, size):
-    if alpha == 1.0:
+    if alpha == 0.5:
+        pairs = (size + 1) // 2
+        z = _ref_normals(rng, 2 * pairs)
+        out = 0.5 * np.concatenate((z[0::2] * z[0::2], z[1::2] * z[1::2]))[:size]
+    elif alpha == 1.0:
         out = -np.log(1.0 - rng.uniforms(size))
+    elif alpha == 2.0:
+        u = rng.uniforms(2 * size)
+        out = -np.log((1.0 - u[:size]) * (1.0 - u[size:]))
     elif alpha > 1.0:
         out = _ref_unit_rate(rng, alpha, size)
     else:
@@ -87,6 +96,32 @@ def _ks_statistic(cdf):
     """Kolmogorov-Smirnov distance of the sorted CDF values ``cdf`` from uniform."""
     i = np.arange(1, len(cdf) + 1)
     return max(np.max(i / len(cdf) - cdf), np.max(cdf - (i - 1) / len(cdf)))
+
+
+class _ZeroAt(RngStream):
+    """A stream whose first request has 0 at the positions ``at``."""
+
+    def __init__(self, at, *args):
+        super().__init__(*args)
+        self.at = list(at)
+
+    def uniforms(self, count):
+        u = super().uniforms(count)
+        u[self.at] = 0.0
+        self.at = []
+        return u
+
+
+class _Counting(RngStream):
+    """A stream that records the size of each request."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requests = []
+
+    def uniforms(self, count):
+        self.requests.append(count)
+        return super().uniforms(count)
 
 
 class TestGamma:
@@ -109,7 +144,7 @@ class TestGamma:
         ("alpha", "rate"),
         [
             pytest.param(MIN_SHAPE, 1.0, id="MIN_SHAPE-1.0"),
-            (0.1, 2.5), (0.5, 1.0), (1.0, 0.3), (5.0, 1.0), (1e3, 4.0),
+            (0.1, 2.5), (0.5, 1.0), (1.0, 0.3), (2.0, 1.0), (5.0, 1.0), (1e3, 4.0),
         ],
     )
     def test_probability_integral_transform_is_uniform(self, alpha, rate):
@@ -145,7 +180,37 @@ class TestGamma:
         with pytest.raises(NumericError, match="rounded to 0"):
             gamma_variates(ZeroFirst(8, 3), GammaParams(1.0), 10)
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 3.7])
+    @pytest.mark.parametrize(
+        ("alpha", "at"), [(0.5, [0]), (0.5, [5]), (2.0, [0, 10])], ids=["radius", "angle", "both"]
+    )
+    def test_a_draw_from_zero_uniforms_is_an_error(self, alpha, at):
+        # Z^2/2 is 0 where the radius uniform is 0 (both halves) or the angle
+        # uniform is 0 (the sine half), and -log((1 - u1)(1 - u2)) only where
+        # both uniforms are 0; each has probability 2^-53 a pair
+        size = 10
+        with pytest.raises(NumericError, match="rounded to 0"):
+            gamma_variates(_ZeroAt(at, 8, 3), GammaParams(alpha), size)
+
+    def test_one_zero_uniform_of_an_erlang_pair_is_no_error(self):
+        g = gamma_variates(_ZeroAt([0], 8, 3), GammaParams(2.0), 10)
+        assert np.all(g > 0.0)
+
+    @pytest.mark.parametrize(
+        ("alpha", "requests"),
+        [
+            (0.5, lambda size: [2 * ((size + 1) // 2)]),
+            (1.0, lambda size: [size]),
+            (2.0, lambda size: [2 * size]),
+        ],
+        ids=["0.5", "1.0", "2.0"],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 3, _CHUNK + 1])
+    def test_uniforms_taken_without_rejection(self, alpha, requests, size):
+        rng = _Counting(404, 9)
+        gamma_variates(rng, GammaParams(alpha), size)
+        assert rng.requests == requests(size)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 3.7])
     def test_strictly_positive(self, alpha):
         g = gamma_variates(RngStream(3, 2), GammaParams(alpha, 1.0), 50_000)
         assert np.all(g > 0.0)
@@ -195,7 +260,7 @@ class TestGamma:
         [
             pytest.param(MIN_SHAPE, id="MIN_SHAPE"), 0.5, 1.0,
             # the least shape above 1: Marsaglia-Tsang, next to the exponential branch
-            pytest.param(math.nextafter(1.0, 2.0), id="1.0+ulp"), 3.7, 5.0,
+            pytest.param(math.nextafter(1.0, 2.0), id="1.0+ulp"), 2.0, 3.7, 5.0,
         ],
     )
     @pytest.mark.parametrize("size", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 500_001])
@@ -211,6 +276,54 @@ class TestGamma:
     def test_rejects_negative_size(self):
         with pytest.raises(SizeError):
             gamma_variates(RngStream(1, 0), GammaParams(1.0), -1)
+
+
+class TestGammaBetaHalves:
+    """Gamma(1/2) draws as Lukacs' pair E cos^2(theta), E sin^2(theta).
+
+    With a and b the cosine and sine halves of the same Box-Muller pairs,
+    S = a + b is the pair's E ~ Gamma(1) and R = a/S is cos^2(theta) ~
+    Beta(1/2, 1/2), independent of S.
+    """
+
+    PAIRS = 200_000
+
+    @pytest.fixture(scope="class")
+    def halves(self):
+        g = gamma_variates(RngStream(6007, 0), GammaParams(0.5), 2 * self.PAIRS)
+        a, b = g[: self.PAIRS], g[self.PAIRS :]
+        s = a + b
+        return a / s, s
+
+    def test_sum_is_exponential(self, halves):
+        _, s = halves
+        assert _ks_statistic(np.sort(-np.expm1(-s))) < KS_CRIT_0001 / math.sqrt(self.PAIRS)
+
+    def test_proportion_is_arcsine(self, halves):
+        r, _ = halves
+        cdf = np.sort(2.0 / np.pi * np.arcsin(np.sqrt(r)))
+        assert _ks_statistic(cdf) < KS_CRIT_0001 / math.sqrt(self.PAIRS)
+
+    def test_proportion_is_uncorrelated_with_sum(self, halves):
+        r, s = halves
+        assert abs(np.corrcoef(r, s)[0, 1]) <= 4.0 / math.sqrt(self.PAIRS)
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_no_verify_column_holds_both_halves_of_a_pair(self, n):
+        # verify's block of n-draw samples, one sample a column
+        seen = []
+        job = verify._Job(GammaParams(0.5), n, verify._BLOCK_SIZE, RngStream(1729, 3),
+                          lambda y: seen.append(y) or [y[0]], lambda mean, cov: None)
+        verify._one_block(job, 0)
+        [y] = seen
+        draws = y.T.ravel()  # in draw order: column i holds draws i n to i n + n - 1
+        pairs = (draws.size + 1) // 2
+        u = job.rng.spawn(0).uniforms(2 * pairs)
+        z = _box_muller(u[:pairs], u[pairs:], np.empty(2 * pairs))
+        halves = 0.5 * np.concatenate((z[0::2] * z[0::2], z[1::2] * z[1::2]))
+        assert draws.tobytes() == halves[: draws.size].tobytes()
+        sine = np.arange(pairs, draws.size)  # pair j's sine half is draw pairs + j
+        assert np.all(sine // n != (sine - pairs) // n)
 
 
 class TestNormals:
