@@ -4,8 +4,10 @@ A 7-point Gauss / 15-point Kronrod pair drives globally adaptive
 bisection: the interval with the largest error estimate is split until
 the summed estimate meets the tolerance.  Kronrod nodes are interior,
 so integrable endpoint singularities (beta densities with shape < 1)
-never get evaluated at the singular point; they just cost extra
-subdivisions near the endpoint.
+never get evaluated at the singular point, but they cost extra
+subdivisions near the endpoint and the error estimate there can fall
+below the actual error; a caller that needs the bound maps the
+singularity away first.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,31 +86,20 @@ def _rule(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[fl
     return k, min(delta, (200.0 * delta) ** 1.5)
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    points: Sequence[float] = (),
-) -> QuadResult:
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> QuadResult:
     """Integral of the vectorized ``f`` over [a, b].
 
-    ``points`` lists interior break points (known kinks) at which the
-    initial partition is split.  Raises ``NumericError`` when the error
-    bound still exceeds the tolerance at ``_MAX_INTERVALS`` subintervals.
+    Raises ``NumericError`` when the error bound still exceeds the
+    tolerance at ``_MAX_INTERVALS`` subintervals.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise DomainError(f"need a finite interval with a < b, got [{a}, {b}]")
-    cuts = [a, *sorted(p for p in points if a < p < b), b]
 
-    heap: list[tuple[float, int, float, float, float]] = []
+    val, err = _rule(f, a, b)
+    heap: list[tuple[float, int, float, float, float]] = [(-err, 0, a, b, val)]
     frozen: list[tuple[float, float]] = []  # (value, error) of unsplittable slivers
-    tick = 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _rule(f, lo, hi)
-        heapq.heappush(heap, (-err, tick, lo, hi, val))
-        tick += 1
+    tick = 1
 
     while True:
         total = math.fsum([item[4] for item in heap] + [v for v, _ in frozen])

@@ -1,17 +1,24 @@
-"""Deterministic, splittable random streams on numpy's Philox4x64-10.
+"""Deterministic, splittable random streams on numpy's PCG64DXSM.
 
-Philox is a counter-based generator (Salmon et al. 2011): its output is a
-pure function of a 128-bit key and a counter, so sequences are
-reproducible bit-for-bit across runs and platforms, and distinct keys give
-statistically independent streams that can be handed to parallel workers
-without coordination.  Each ``RngStream`` owns one ``numpy.random.Philox``
-whose key is ``seed | stream_id << 64`` and whose counter starts at 0.
+PCG64DXSM (O'Neill's permuted congruential family, with the DXSM output
+function) is numpy's recommended bit generator: a 128-bit LCG state with a
+64-bit output permutation, fast in C and statistically strong.  Each
+``RngStream(seed, stream_id)`` owns one ``numpy.random.Generator`` on a
+``PCG64DXSM`` keyed by ``SeedSequence(seed, spawn_key=(stream_id,))``, which
+is numpy's own ``stream_id``-th child of ``SeedSequence(seed)``.  Spawning
+children of one seed sequence is numpy's documented way to give parallel
+workers independent streams: the seed sequence hashes the seed and the spawn
+key into the generator's state, so distinct (seed, stream_id) pairs start
+from unrelated states.
 
-Doubles are ``(raw >> 11) * 2**-53`` of the bit generator's raw 64-bit
-words, never ``Generator.random``: NEP 19 keeps a BitGenerator's raw
+Doubles are ``(next_uint64 >> 11) * 2**-53``, made by one
+``Generator.random(out=...)`` call per request: numpy's C fill loop, which
+runs with the interpreter lock released.  NEP 19 keeps a BitGenerator's raw
 stream stable across numpy versions but not the output of ``Generator``
-methods.  The bit generator buffers the unused words of its last block,
-so split requests return exactly what one whole request returns.
+methods, so the known-answer tests pin both the first doubles and their
+equality with that formula over ``random_raw``, and a hash of a long request.
+Each double takes one whole raw word, so split requests return exactly what
+one whole request returns.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from .errors import DomainError
 __all__ = ["RngStream"]
 
 _U64_MAX = (1 << 64) - 1
-_INV53 = 2.0**-53
-_PIECE = 1 << 16  # raw words converted at a time, so no request-sized uint64 copy lives
 
 
 def _require_u64(v: int, name: str) -> int:
@@ -39,7 +44,8 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = _require_u64(seed, "seed")
         self.stream_id = _require_u64(stream_id, "stream_id")
-        self._bits = np.random.Philox(key=seed | stream_id << 64)
+        keys = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+        self._gen = np.random.Generator(np.random.PCG64DXSM(keys))
 
     def spawn(self, offset: int) -> "RngStream":
         """Fresh stream with the same seed and stream_id shifted by offset."""
@@ -50,12 +56,7 @@ class RngStream:
         count = int(count)
         if count < 0:
             raise DomainError(f"count must be non-negative, got {count}")
-        out = np.empty(count)
-        for start in range(0, count, _PIECE):
-            raw = self._bits.random_raw(min(_PIECE, count - start))
-            raw >>= 11
-            np.multiply(raw, _INV53, out=out[start : start + raw.size])
-        return out
+        return self._gen.random(out=np.empty(count))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

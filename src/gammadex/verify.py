@@ -11,7 +11,9 @@ short axis 0 with operations on whole rows.  One pool of worker threads
 runs every block of every job in a call, so the pool does not idle
 between checks.  A block's partials depend only on its stream, and each
 job's merge order is fixed, so results are bit-identical regardless of
-how many workers execute the blocks.
+how many workers execute the blocks.  A block holds
+``min(reps, 25_000) * n`` variates, at most ``2**25``: a larger sample size
+is a ``SizeError`` before anything is drawn.
 Quadrature and enumeration checks reuse the same report shape with
 ``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
 standard error so the pass rule ``|z_score| <= Z_MAX`` applies uniformly.
@@ -53,7 +55,7 @@ from .gamma_forms import (
     population_value,
 )
 from .indices import IndexKind, column_sums, gini, index_values
-from .quadrature import integrate
+from .quadrature import QuadResult, integrate
 from .rng import RngStream, _require_u64
 from .sampling import gamma_variates
 from .special import digamma, log_beta, log_power_mean_ratio
@@ -81,6 +83,9 @@ Z_MAX = 4.0
 # consecutive ids above its anchor.
 _STREAM_STRIDE = 1 << 32
 _BLOCK_SIZE = 25_000
+# Most variates one block may hold, min(reps, _BLOCK_SIZE) * n: a block in
+# flight takes about 25 bytes a variate, so about 0.8 GB at the limit.
+_MAX_BLOCK_VARIATES = 1 << 25
 
 # The verification grid of every check family.
 MC_KINDS = (IndexKind.GINI, IndexKind.THEIL_T, IndexKind.ATKINSON, IndexKind.VMR)
@@ -174,6 +179,14 @@ class _Job:
     rng: RngStream
     stat: Callable[[np.ndarray], Sequence[np.ndarray]]
     finish: Callable[[np.ndarray, np.ndarray], object]
+
+    def __post_init__(self) -> None:
+        variates = min(self.reps, _BLOCK_SIZE) * self.n
+        if variates > _MAX_BLOCK_VARIATES:
+            raise SizeError(
+                f"n = {self.n} makes a Monte Carlo block of min(reps, {_BLOCK_SIZE}) * n = "
+                f"{variates} variates, above the limit of {_MAX_BLOCK_VARIATES}"
+            )
 
     def blocks(self) -> range:
         return range(0, self.reps, _BLOCK_SIZE)
@@ -282,7 +295,9 @@ def mc_expectation(
 
     With ``debias_values`` the correction is applied to every replicate and
     the mean is compared against the population value instead of the
-    finite-sample expectation.
+    finite-sample expectation.  Samples are drawn in blocks of
+    ``min(reps, 25_000)`` samples, so ``min(reps, 25_000) * n`` may be at most
+    ``2**25`` variates; a larger n is a ``SizeError`` before anything is drawn.
     """
     reps, workers = _require_run(reps, workers)
     n = _require_n(n, kind.min_n, kind.value)
@@ -366,21 +381,38 @@ def dirichlet_product_moment_check(
     return report
 
 
+def _half_beta_integral(g: Callable, c: float, d: float, lb: float) -> QuadResult:
+    """Integral of g(u, -log u) u^(c-1) (1 - u)^(d-1) / B over 0 < u < 1/2, lb = log B.
+
+    Quadrature runs in x = -log u, where u^(c-1) du is exp(-c x) dx: the
+    integrand on [log 2, X] is smooth at every shape, with no u^(c-1)
+    singularity (c < 1) or log u left at an endpoint, where Gauss-Kronrod
+    converges slowly and its error estimate undershoots.  A map u = t^(1/c)
+    is smooth only when 1/c is a whole number.  With |g| <= max(1, x), the
+    tail past X = log 2 + (75 - lb)/c is below 2 e^-75 (X + 1/c)/c.
+    """
+    upper = math.log(2.0) + (75.0 - lb) / c
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        u = np.exp(-x)
+        return g(u, x) * np.exp((d - 1.0) * np.log1p(-u) - c * x - lb)
+
+    return integrate(integrand, math.log(2.0), upper)
+
+
 def beta_ulogu_check(a: float, b: float) -> tuple[float, float]:
     """(closed form, quadrature) for E[U log U], U ~ Beta(a, b).
 
     Closed form a/(a+b) * (psi(a+1) - psi(a+b+1)); quadrature integrates
-    u log(u) against the beta density with adaptive Gauss-Kronrod.
+    u log(u) against the beta density with adaptive Gauss-Kronrod, over
+    u < 1/2 and, as 1 - u ~ Beta(b, a), over 1 - u < 1/2, each in -log of
+    its variable (``_half_beta_integral``).
     """
     lb = log_beta(a, b)
     closed = a / (a + b) * (digamma(a + 1.0) - digamma(a + b + 1.0))
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        log_u = np.log(u)
-        return log_u * np.exp(a * log_u + (b - 1.0) * np.log1p(-u) - lb)
-
-    quad = integrate(integrand, 0.0, 1.0).value
-    return closed, quad
+    near_0 = _half_beta_integral(lambda u, x: -x * u, a, b, lb)
+    near_1 = _half_beta_integral(lambda v, x: (1.0 - v) * np.log1p(-v), b, a, lb)
+    return closed, near_0.value + near_1.value
 
 
 def abs_2r_minus_1_check(alpha: float) -> tuple[float, float]:
@@ -388,18 +420,12 @@ def abs_2r_minus_1_check(alpha: float) -> tuple[float, float]:
 
     The closed form is the population Gini index under a gamma law with
     this shape; the quadrature integrates |2r - 1| against the symmetric
-    beta density, split at the kink.
+    beta density, as twice the integral of 1 - 2r over r < 1/2, in -log r
+    (``_half_beta_integral``).
     """
     closed = pop_gini(GammaParams(alpha))
-    lb = log_beta(alpha, alpha)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.abs(2.0 * u - 1.0) * np.exp(
-            (alpha - 1.0) * (np.log(u) + np.log1p(-u)) - lb
-        )
-
-    quad = integrate(integrand, 0.0, 1.0, points=(0.5,)).value
-    return closed, quad
+    half = _half_beta_integral(lambda r, x: 1.0 - 2.0 * r, alpha, alpha, log_beta(alpha, alpha))
+    return closed, 2.0 * half.value
 
 
 def two_point_remark_check(a: float, b: float) -> tuple[float, float]:

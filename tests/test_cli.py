@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -565,6 +566,25 @@ class TestSimulate:
             capsys, "simulate", "--alpha", "1", "--n", "2", "--reps", "20000"
         )
         assert code == EXIT_USAGE
+
+    def test_huge_n_is_refused_before_drawing(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(verify, "gamma_variates", no_draws)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "simulate", "--index", "gini", "--alpha", "2",
+                "--n", "1000000000", "--reps", "10000",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and err.startswith("USAGE_ERROR:")
+        assert "n = 1000000000" in err and "10000000000000 variates" in err
+        assert peak < 1 << 20
 
 
 SIMULATE_ARGS = ["simulate", "--alpha", "1", "--n", "2", "--reps", "10000"]

@@ -106,6 +106,17 @@ class TestBlockEngine:
         assert y.flags.c_contiguous
         assert np.array_equal(y, draws.reshape(10_000, 3).T)  # column i: draws 3i .. 3i + 2
 
+    @pytest.mark.parametrize("reps", [2**14, 10**6])
+    def test_block_variate_limit(self, reps):
+        """min(reps, 25k) * n may reach 2**25 variates and not pass it; nothing is drawn."""
+        limit = verify._MAX_BLOCK_VARIATES
+        assert limit == 2**25
+        block = min(reps, verify._BLOCK_SIZE)
+        n = limit // block
+        _Job(GammaParams(1.0), n, reps, RngStream(1), None, None)
+        with pytest.raises(SizeError, match=f"n = {n + 1} .* {block * (n + 1)} variates"):
+            _Job(GammaParams(1.0), n + 1, reps, RngStream(1), None, None)
+
 
 class TestDebiasAffine:
     @pytest.mark.parametrize("kind", list(IndexKind))
@@ -247,6 +258,42 @@ class TestQuadratureIdentities:
         closed, quad = abs_2r_minus_1_check(alpha)
         assert closed == pytest.approx(expected, rel=1e-12)
         assert abs(closed - quad) < 1e-8
+
+    @pytest.mark.parametrize("alpha", sorted({*verify.ABS2R_ALPHAS, 0.1, 0.25, 0.75}))
+    def test_abs_2r_minus_1_matches_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            exact = mpmath.gamma(a + 0.5) / (mpmath.gamma(a + 1) * mpmath.sqrt(mpmath.pi))
+        _, quad = abs_2r_minus_1_check(alpha)
+        assert abs(quad - float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("b", sorted({*verify.ULOGU_SHAPES, 0.1, 0.75}))
+    @pytest.mark.parametrize("a", sorted({*verify.ULOGU_SHAPES, 0.1, 0.75}))
+    def test_ulogu_matches_mpmath(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            exact = a_ / (a_ + b_) * (mpmath.digamma(a_ + 1) - mpmath.digamma(a_ + b_ + 1))
+        _, quad = beta_ulogu_check(a, b)
+        assert abs(quad - float(exact)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [0.1, 0.5, 1.0, 4.5])
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.5, 0.75, 1.0, 4.5])
+    def test_half_integral_error_bound_is_a_bound(self, c, d):
+        """The reported error bound covers the error at a u^(c-1) or log u endpoint."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            beta = mpmath.beta(c, d)
+            lb = float(mpmath.log(beta))
+            # the mass below 1/2, and E[U log U; U < 1/2] as its derivative in the shape
+            exact = {
+                "mass": mpmath.betainc(c, d, 0, 0.5) / beta,
+                "ulogu": mpmath.diff(lambda s: mpmath.betainc(s, d, 0, 0.5), c + 1) / beta,
+            }
+        for name, g in (("mass", lambda u, x: np.ones_like(u)), ("ulogu", lambda u, x: -x * u)):
+            result = verify._half_beta_integral(g, c, d, lb)
+            assert abs(result.value - float(exact[name])) <= result.error_bound, name
 
     def test_bad_shapes(self):
         with pytest.raises(DomainError):
