@@ -225,13 +225,15 @@ def cmd_compute(args) -> int:
     given = None if args.alpha is None else GammaParams(args.alpha)
     sample = read_sample(args.input, args.column)
     try:
-        # an overflow or an undefined value in a kernel is the error, not a warning
+        # an overflow or an undefined value in a kernel is the error, not a
+        # warning, and the plug-in's VMR is one more index of the sample
         with np.errstate(all="raise", under="ignore"):
             values = compute_indices(kinds, sample)
+            plug_in = alpha_plug_in(sample) if args.debias and given is None else None
         indices = {k.value: v for k, v in values.items()}
         result = {"command": "compute", "input": args.input, "n": sample.n, "indices": indices}
         if args.debias:
-            params = given or GammaParams(alpha_plug_in(sample, values.get(IndexKind.VMR)))
+            params = given or GammaParams(plug_in)
             result["alpha"] = params.alpha
             result["alpha_source"] = "plug_in" if given is None else "given"
             result["debiased"] = {

@@ -236,8 +236,10 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
 def alpha_plug_in(values: SampleLike, vmr: float | None = None) -> float:
     """Method-of-moments shape estimate alpha_hat = mean^2 / variance = mean / VMR.
 
-    ``vmr`` is the sample's VMR when the caller has already computed it; the
-    mean comes from the sample's total, which ``Sample`` computes once.
+    The VMR is the one ``compute_index`` keeps in the ``Sample``, so it is
+    computed here only if no index call has computed it yet; ``vmr``, when
+    given, is used in its place.  The mean comes from the sample's total,
+    which ``Sample`` computes once.
     ``debias`` at this estimate is not unbiased.  Over 20k gamma samples the
     mean debiased Theil and Atkinson fell short of the population values by
     0.052 and 0.069 (7 % and 10 %) at alpha = 0.5, n = 5, by 0.007 and 0.009

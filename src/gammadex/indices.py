@@ -19,6 +19,12 @@ numpy's loops (Rump, Ogita & Oishi 2008), bit for bit.  Monte Carlo blocks
 are ``(n, samples)`` arrays, pass ``column_sums`` and get one value per
 column from the same formulas, except that a short block's Gini sums its
 pairs of rows as the definition does.
+
+A ``Sample`` keeps each index value it has been asked for, so a second
+``compute_index`` of the same kind, such as the VMR that
+``gamma_forms.alpha_plug_in`` reads, costs a dict lookup.  The value kept
+is the one the first call computed, under the floating-point error state
+that call ran in.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ class IndexKind(enum.Enum):
     ATKINSON = ("atkinson", 1)
     VMR = ("vmr", 2)
 
+    # Enum's own hash is a Python-level hash(self._name_), called on every
+    # lookup of a kind in a dict; members are singletons, so identity will do
+    __hash__ = object.__hash__
+
     def __new__(cls, label: str, min_n: int) -> "IndexKind":
         member = object.__new__(cls)
         member._value_ = label
@@ -80,9 +90,15 @@ class IndexKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Sample:
-    """Immutable vector of finite, strictly positive observations."""
+    """Immutable vector of finite, strictly positive observations.
+
+    Two samples are equal when they hold the same doubles in the same
+    order, and hash alike then.  Index values computed of a sample are
+    kept in it and take no part in equality.
+    """
 
     values: np.ndarray = field(repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -90,14 +106,25 @@ class Sample:
             raise DomainError(f"sample must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise SizeError("sample must contain at least one observation")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample contains non-finite values")
-        if np.any(arr <= 0.0):
+        # the min of an array holding a NaN is NaN, so these two comparisons
+        # pass exactly when every value is finite and positive; only a sample
+        # that fails them pays for finding its first fault
+        if not (arr.min() > 0.0 and arr.max() < math.inf):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("sample contains non-finite values")
             bad = float(arr[arr <= 0.0][0])
             raise DomainError(f"sample values must be strictly positive, got {bad!r}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return self.values.tobytes() == other.values.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.values.tobytes())
 
     @property
     def n(self) -> int:
@@ -127,6 +154,12 @@ def _require_n(s: Sample, minimum: int, what: str) -> None:
 
 def _snap(value, lo: float | None = None, hi: float | None = None, slack: float = 1e-9):
     """Pull values that violate a mathematical bound by rounding noise back onto it."""
+    if not isinstance(value, np.ndarray):  # one sample's value: no 0-d arrays to build
+        if lo is not None and lo - slack <= value < lo:
+            return lo
+        if hi is not None and hi < value <= hi + slack:
+            return hi
+        return value
     if lo is not None:
         value = np.where((lo - slack <= value) & (value < lo), lo, value)
     if hi is not None:
@@ -241,7 +274,7 @@ def _gini(y: np.ndarray, total, reduce: Reducer):
             numerator += np.abs(np.subtract(y[i], y[j], out=diff), out=diff)
     else:
         # with y_(1) <= ... <= y_(n), the pairs sum to sum_i (2i - n - 1) y_(i)
-        weights = 2.0 * np.arange(1, n + 1) - n - 1.0
+        weights = np.arange(1.0 - n, n, 2.0)
         weights = weights.reshape((n,) + (1,) * (y.ndim - 1))
         numerator = reduce(weights * np.sort(y, axis=0))
     return _snap(numerator / ((n - 1) * total), lo=0.0, hi=1.0)
@@ -296,11 +329,19 @@ def index_values(
 
 
 def compute_indices(kinds: Sequence[IndexKind], values: SampleLike) -> dict[IndexKind, float]:
-    """Evaluate each index in ``kinds`` of one sample, with compensated sums."""
+    """Evaluate each index in ``kinds`` of one sample, with compensated sums.
+
+    The sample keeps each value, and a kind it already holds is not
+    computed again.
+    """
     s = as_sample(values)
-    for kind in kinds:
-        _require_n(s, kind.min_n, kind.value)
-    return dict(zip(kinds, map(float, index_values(kinds, s.values, fsum, s.total))))
+    memo = s._memo
+    missing = [kind for kind in kinds if kind not in memo]
+    if missing:
+        for kind in missing:
+            _require_n(s, kind.min_n, kind.value)
+        memo.update(zip(missing, map(float, index_values(missing, s.values, fsum, s.total))))
+    return {kind: memo[kind] for kind in kinds}
 
 
 def compute_index(kind: IndexKind, values: SampleLike) -> float:

@@ -492,6 +492,15 @@ class TestNonFiniteResult:
         self._numeric_error(code, out, err)
         assert err.count("\n") == 1  # numpy's overflow warning does not reach stderr
 
+    @pytest.mark.parametrize("index", ["gini", "theil", "atkinson", "vmr"])
+    def test_plug_in_vmr_overflow(self, capsys, tmp_path, index):
+        # the plug-in shape's VMR overflows as the vmr index does
+        p = tmp_path / "big.txt"
+        p.write_text("1e200\n2e200\n")
+        code, out, err = run_cli(capsys, "compute", "--index", index, "--debias", "--input", str(p))
+        self._numeric_error(code, out, err)
+        assert err == "NUMERIC_ERROR: overflow encountered in square while computing the indices\n"
+
     def test_sum_overflow(self, capsys, tmp_path):
         p = tmp_path / "huge.txt"
         p.write_text("1e308\n1e308\n")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gammadex import indices
 from gammadex.errors import DomainError, NumericError, SizeError
+from gammadex.gamma_forms import alpha_plug_in
 from gammadex.indices import (
     IndexKind,
     Sample,
@@ -52,6 +54,52 @@ class TestSample:
         s = Sample(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             s.values[0] = 5.0
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            ([1.0, math.nan, -1.0], "sample contains non-finite values"),
+            ([-1.0, 2.0, math.nan], "sample contains non-finite values"),
+            ([1.0, math.inf], "sample contains non-finite values"),
+            ([-math.inf, 1.0], "sample contains non-finite values"),
+            ([1.0, 0.0], "sample values must be strictly positive, got 0.0"),
+            ([1.0, -0.0], "sample values must be strictly positive, got -0.0"),
+            ([2.0, -3.0, -1.0], "sample values must be strictly positive, got -3.0"),
+        ],
+    )
+    def test_invalid_value_messages(self, values, message):
+        # a non-finite value is reported before a non-positive one
+        with pytest.raises(DomainError) as info:
+            Sample(np.array(values))
+        assert str(info.value) == message
+
+    def test_accepts_the_least_subnormal(self):
+        assert Sample(np.array([5e-324, 1.0])).values[0] == 5e-324
+
+    def test_equality_and_hash_follow_the_values(self):
+        a, b = Sample([1.0, 2.0]), Sample(np.array([1.0, 2.0]))
+        compute_indices(tuple(IndexKind), a)  # the kept index values take no part
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Sample([2.0, 1.0])
+        assert a != Sample([1.0, 2.0, 2.0])
+        assert a != [1.0, 2.0]
+        assert repr(a) == repr(b) == "Sample()"
+
+    def test_vmr_is_computed_once_for_the_plug_in(self, monkeypatch):
+        calls = []
+
+        def counting_vmr(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = indices._KERNELS[IndexKind.VMR]
+        monkeypatch.setitem(indices._KERNELS, IndexKind.VMR, counting_vmr)
+        s = Sample([1.0, 2.0, 4.0])
+        vmr_value = compute_index(IndexKind.VMR, s)
+        assert alpha_plug_in(s) == s.mean / vmr_value
+        assert compute_indices(tuple(IndexKind), s)[IndexKind.VMR] == vmr_value
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
