@@ -39,7 +39,9 @@ from .errors import DataError, DomainError, NumericError, SizeError
 from .gamma_forms import GammaParams, alpha_plug_in, debias, expectation, population_value
 from .indices import IndexKind, Sample, compute_indices
 from .rng import RngStream
-from .verify import DEFAULT_SEED, VerifyConfig, mc_expectation, run_verification
+from .verify import (
+    DEFAULT_SEED, MAX_REPS, MIN_REPS, VerifyConfig, mc_expectation, run_verification,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -221,6 +223,8 @@ def _emit(obj, rows: list[dict], fmt: str) -> None:
 
 
 def cmd_compute(args) -> int:
+    if args.alpha is not None and not args.debias:
+        raise DomainError("--alpha is the shape for --debias; give both or neither")
     kinds = _parse_kinds(args.index)
     given = None if args.alpha is None else GammaParams(args.alpha)
     sample = read_sample(args.input, args.column)
@@ -372,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", default=None, help="CSV column name (default y)")
     p.add_argument("--debias", action="store_true",
                    help="also report debiased values (--alpha or plug-in estimate)")
-    p.add_argument("--alpha", type=float, default=None, help="gamma shape for --debias")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="gamma shape for --debias, which it needs")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("population", help="closed-form population index values")
@@ -393,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="gamma shape")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="gamma rate")
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--reps", type=int, default=200_000, help="Monte Carlo replicates")
+    p.add_argument("--reps", type=int, default=200_000,
+                   help=f"Monte Carlo replicates, {MIN_REPS} to {MAX_REPS}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--debias", action="store_true", help="check the debiased estimator")
     p.add_argument("--workers", type=int, default=1)
@@ -401,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification grid")
     p.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    p.add_argument("--reps", type=int, default=200_000)
+    p.add_argument("--reps", type=int, default=200_000,
+                   help=f"Monte Carlo replicates, {MIN_REPS} to {MAX_REPS}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--grid", nargs="*", default=None,

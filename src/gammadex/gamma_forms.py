@@ -233,13 +233,12 @@ def debias(kind: IndexKind, params: GammaParams, n: int, raw: float) -> float:
     return raw * (na + 1.0) / na
 
 
-def alpha_plug_in(values: SampleLike, vmr: float | None = None) -> float:
+def alpha_plug_in(values: SampleLike) -> float:
     """Method-of-moments shape estimate alpha_hat = mean^2 / variance = mean / VMR.
 
     The VMR is the one ``compute_index`` keeps in the ``Sample``, so it is
-    computed here only if no index call has computed it yet; ``vmr``, when
-    given, is used in its place.  The mean comes from the sample's total,
-    which ``Sample`` computes once.
+    computed here only if no index call has computed it yet.  The mean comes
+    from the sample's total, which ``Sample`` computes once.
     ``debias`` at this estimate is not unbiased.  Over 20k gamma samples the
     mean debiased Theil and Atkinson fell short of the population values by
     0.052 and 0.069 (7 % and 10 %) at alpha = 0.5, n = 5, by 0.007 and 0.009
@@ -249,7 +248,7 @@ def alpha_plug_in(values: SampleLike, vmr: float | None = None) -> float:
     s = as_sample(values)
     if s.n < 2:
         raise SizeError(f"plug-in shape estimate needs at least 2 observations, got {s.n}")
-    ratio = compute_index(IndexKind.VMR, s) if vmr is None else vmr
+    ratio = compute_index(IndexKind.VMR, s)
     if not math.isfinite(ratio):
         raise NumericError(f"the sample's variance-to-mean ratio is not finite: {ratio}")
     if ratio == 0.0:

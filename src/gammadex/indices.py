@@ -14,17 +14,16 @@ which every index of the same samples shares.  The one-sample API passes
 ``fsum``, the correctly rounded sum that ``math.fsum`` gives, so sums that
 feed ratios are exact to the last bit and the O(n log n) Gini path and the
 brute-force pairwise oracle agree to ~1e-15 even for large samples.  From
-``_VECTOR_SUM_MIN`` values on it gets that sum by error-free extraction in
-numpy's loops (Rump, Ogita & Oishi 2008), bit for bit.  Monte Carlo blocks
-are ``(n, samples)`` arrays, pass ``column_sums`` and get one value per
-column from the same formulas, except that a short block's Gini sums its
-pairs of rows as the definition does.
+``_VECTOR_SUM_MIN`` values on ``fsum`` gets that sum by error-free
+extraction in numpy's loops (Rump, Ogita & Oishi 2008), bit for bit.
+Monte Carlo blocks are ``(n, samples)`` arrays, pass ``column_sums`` and
+get one value per column from the same formulas, except that a short
+block's Gini sums its pairs of rows as the definition does.
 
-A ``Sample`` keeps each index value it has been asked for, so a second
-``compute_index`` of the same kind, such as the VMR that
-``gamma_forms.alpha_plug_in`` reads, costs a dict lookup.  The value kept
-is the one the first call computed, under the floating-point error state
-that call ran in.
+A ``Sample`` keeps each finite index value it has been asked for, so a
+second ``compute_index`` of the same kind, such as the VMR that
+``gamma_forms.alpha_plug_in`` reads, costs a dict lookup.  A value that is
+not finite is computed again on each call.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ def gini_pairwise(values: SampleLike) -> float:
     """Sample Gini index by direct O(n^2) enumeration of all pairs.
 
     G_n = [1/(n-1)] * sum_{i<j} |y_i - y_j| / sum_i y_i.  Kept as the
-    brute-force oracle for ``gini_sorted``; prefer ``gini`` in real use.
+    brute-force oracle for ``gini``; prefer ``gini`` in real use.
     """
     s = as_sample(values)
     _require_n(s, 2, "gini")
@@ -207,48 +206,38 @@ _VECTOR_SUM_MIN = 600
 def fsum(x: np.ndarray) -> float:
     """Correctly rounded sum of a 1-D array, exactly ``math.fsum(x)``.
 
-    Below ``_VECTOR_SUM_MIN`` values this is ``math.fsum(x.tolist())``:
-    ``tolist`` hands it the same doubles as Python floats, which it reads
-    faster than numpy scalars boxed one at a time.  From that size on,
-    ``_extracted_fsum`` gets the same double in numpy's loops.  A sum whose
-    partials overflow the double range is a ``NumericError``.
-    """
-    try:
-        if x.size < _VECTOR_SUM_MIN:
-            return math.fsum(x.tolist())
-        return _extracted_fsum(x)
-    except OverflowError:
-        raise NumericError("a sum overflows the double range") from None
-
-
-def _extracted_fsum(x: np.ndarray) -> float:
-    """``math.fsum(x)``, bit for bit, by passes of error-free extraction.
-
     ExtractVector (Rump, Ogita & Oishi 2008, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1)): with 2^M > n + 2 and
     2^e > max|r|, sigma = 2^(M+e) splits each residual r into
     q = (r + sigma) - sigma and r - q, both exactly.  Every q is a multiple
     of one power of two and the q sum to less than sigma in magnitude, so
-    numpy's pairwise sum of them, in whatever order, is exact.  Passes repeat over the
-    nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left; the
-    partial sums and those residuals add up exactly to the sum of ``x``,
-    so ``math.fsum`` of them is ``math.fsum(x)``.  NaN, an infinity, all
-    zeros or a sigma beyond the double range hand ``x`` to ``math.fsum``
-    whole, so those cases raise and return what it does.
+    numpy's pairwise sum of them, in whatever order, is exact.  Passes repeat
+    over the nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left;
+    the partial sums and those residuals add up exactly to the sum of ``x``,
+    so ``math.fsum`` of them is ``math.fsum(x)``.  A shorter ``x`` makes no
+    pass and is summed whole by ``math.fsum(x.tolist())``: ``tolist`` hands
+    it the same doubles as Python floats, which it reads faster than numpy
+    scalars boxed one at a time.  NaN, an infinity, all zeros or a sigma
+    beyond the double range also hand ``x`` to ``math.fsum`` whole, so those
+    cases return what it does.  A sum whose partials overflow the double
+    range is a ``NumericError``.
     """
-    partials, r = [], x
-    while r.size >= _VECTOR_SUM_MIN:
-        largest = max(r.max(), -r.min())
-        exponent = (r.size + 2).bit_length() + math.frexp(largest)[1]
-        if not (0.0 < largest < math.inf and exponent < 1024):
-            return math.fsum(x.tolist())
-        sigma = math.ldexp(1.0, exponent)
-        q = r + sigma
-        q -= sigma
-        r = r - q
-        partials.append(float(q.sum()))
-        r = r[r != 0.0]
-    return math.fsum(partials + r.tolist())
+    try:
+        partials, r = [], x
+        while r.size >= _VECTOR_SUM_MIN:
+            largest = max(r.max(), -r.min())
+            exponent = (r.size + 2).bit_length() + math.frexp(largest)[1]
+            if not (0.0 < largest < math.inf and exponent < 1024):
+                return math.fsum(x.tolist())
+            sigma = math.ldexp(1.0, exponent)
+            q = r + sigma
+            q -= sigma
+            r = r - q
+            partials.append(float(q.sum()))
+            r = r[r != 0.0]
+        return math.fsum(partials + r.tolist())
+    except OverflowError:
+        raise NumericError("a sum overflows the double range") from None
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:
@@ -310,46 +299,41 @@ _KERNELS = {
 }
 
 
-def index_values(
-    kinds: Sequence[IndexKind],
-    y: np.ndarray,
-    reduce: Reducer = column_sums,
-    total=None,
-) -> list:
+def index_values(kinds: Sequence[IndexKind], y: np.ndarray, reduce: Reducer = column_sums) -> list:
     """Each index in ``kinds`` of each sample along axis 0 of ``y``.
 
-    ``y`` is summed once for all kinds; pass ``total``, which is
-    ``reduce(y)``, when it is already known.  With the default
-    ``column_sums`` an ``(n, samples)`` block of strictly positive values
-    gives one length-``samples`` array per kind; no input checks are made.
+    ``y`` is summed once for all kinds.  With the default ``column_sums`` an
+    ``(n, samples)`` block of strictly positive values gives one
+    length-``samples`` array per kind; no input checks are made.  One
+    ``Sample`` goes through ``compute_index`` instead.
     """
-    if total is None:
-        total = reduce(y)
+    total = reduce(y)
     return [_KERNELS[kind](y, total, reduce) for kind in kinds]
 
 
-def compute_indices(kinds: Sequence[IndexKind], values: SampleLike) -> dict[IndexKind, float]:
-    """Evaluate each index in ``kinds`` of one sample, with compensated sums.
-
-    The sample keeps each value, and a kind it already holds is not
-    computed again.
-    """
-    s = as_sample(values)
-    memo = s._memo
-    missing = [kind for kind in kinds if kind not in memo]
-    if missing:
-        for kind in missing:
-            _require_n(s, kind.min_n, kind.value)
-        memo.update(zip(missing, map(float, index_values(missing, s.values, fsum, s.total))))
-    return {kind: memo[kind] for kind in kinds}
+def _kept_value(kind: IndexKind, s: Sample) -> float:
+    """One index of one sample; the sample keeps the value if it is finite."""
+    value = s._memo.get(kind)
+    if value is None:
+        _require_n(s, kind.min_n, kind.value)
+        value = float(_KERNELS[kind](s.values, s.total, fsum))
+        if math.isfinite(value):
+            s._memo[kind] = value
+    return value
 
 
 def compute_index(kind: IndexKind, values: SampleLike) -> float:
     """Evaluate one index selected by kind, with compensated sums."""
-    return compute_indices((kind,), values)[kind]
+    return _kept_value(kind, as_sample(values))
 
 
-def gini_sorted(values: SampleLike) -> float:
+def compute_indices(kinds: Sequence[IndexKind], values: SampleLike) -> dict[IndexKind, float]:
+    """``compute_index`` of one sample for each kind in ``kinds``."""
+    s = as_sample(values)
+    return {kind: _kept_value(kind, s) for kind in kinds}
+
+
+def gini(values: SampleLike) -> float:
     """Sample Gini index in O(n log n) via the order-statistics identity.
 
     With y_(1) <= ... <= y_(n), sum_{i<j} |y_i - y_j| equals
@@ -358,9 +342,7 @@ def gini_sorted(values: SampleLike) -> float:
     return compute_index(IndexKind.GINI, values)
 
 
-def gini(values: SampleLike) -> float:
-    """Sample Gini index (sorted evaluation)."""
-    return gini_sorted(values)
+gini_sorted = gini
 
 
 def theil_t(values: SampleLike) -> float:

@@ -12,8 +12,9 @@ runs every block of every job in a call, so the pool does not idle
 between checks.  A block's partials depend only on its stream, and each
 job's merge order is fixed, so results are bit-identical regardless of
 how many workers execute the blocks.  A block holds
-``min(reps, 25_000) * n`` variates, at most ``2**25``: a larger sample size
-is a ``SizeError`` before anything is drawn.
+``min(reps, 25_000) * n`` variates, at most ``2**25``: a larger sample size,
+like reps outside ``[MIN_REPS, MAX_REPS]``, is a ``SizeError`` before
+anything is drawn.
 Quadrature and enumeration checks reuse the same report shape with
 ``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
 standard error so the pass rule ``|z_score| <= Z_MAX`` applies uniformly.
@@ -75,6 +76,10 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 MIN_REPS = 10_000
+# Most replicates one run may ask for: 50 times the default, 400 blocks a
+# cell.  Every block of a run is queued before any is drawn, at about 1.6 kB
+# a block, so without a bound a mistyped reps could ask for gigabytes.
+MAX_REPS = 10**7
 # The pass rule of every line with a standard error, |z_score| <= Z_MAX.
 # No argument, flag or setting changes it.
 Z_MAX = 4.0
@@ -135,6 +140,8 @@ def _require_run(reps: int, workers: int) -> tuple[int, int]:
     reps = _require_whole(reps, "reps must be a whole number")
     if reps < MIN_REPS:
         raise SizeError(f"Monte Carlo checks need reps >= {MIN_REPS}, got {reps}")
+    if reps > MAX_REPS:
+        raise SizeError(f"Monte Carlo checks take at most reps = {MAX_REPS}, got {reps}")
     workers = _require_whole(workers, "workers must be a whole number")
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")

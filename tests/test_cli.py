@@ -358,6 +358,11 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert err.startswith("USAGE_ERROR:")
 
+    def test_alpha_without_debias_is_usage_error(self, capsys, plain_file):
+        code, out, err = run_cli(capsys, "compute", "--input", plain_file, "--alpha", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("USAGE_ERROR:") and "--debias" in err
+
     def test_debias_plug_in_flagged(self, capsys, csv_file):
         code, out, _ = run_cli(
             capsys, "compute", "--input", csv_file, "--index", "theil", "--debias"
@@ -606,6 +611,10 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         ["population", "--alpha", "1", "--index", "foo"],
         ["compute", "--index", "foo", "--input", "/no/such/file"],
         ["compute", "--alpha", "-1", "--input", "/no/such/file"],
+        # --alpha is the shape of --debias, checked before the file is read
+        ["compute", "--alpha", "1", "--input", "/no/such/file"],
+        [*SIMULATE_ARGS, "--index", "gini", "--reps", str(verify.MAX_REPS + 1)],
+        [*NARROW_VERIFY_ARGS, "--reps", str(verify.MAX_REPS + 1)],
         [*SIMULATE_ARGS, "--index", "all"],
         [*NARROW_VERIFY_ARGS, "--seed", "-1"],
         [*SIMULATE_ARGS, "--index", "gini", "--seed", "-1"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gammadex import indices
 from gammadex.errors import DomainError, NumericError, SizeError
 from gammadex.gamma_forms import (
     GammaParams,
@@ -611,9 +612,14 @@ class TestAlphaPlugIn:
             alpha_plug_in([3.0])
 
     @pytest.mark.parametrize("vmr", [math.inf, math.nan])
-    def test_non_finite_vmr_is_a_numeric_error(self, vmr):
-        with pytest.raises(NumericError):
-            alpha_plug_in([1.0, 2.0], vmr)
+    def test_non_finite_vmr_is_a_numeric_error(self, monkeypatch, vmr):
+        if math.isinf(vmr):  # the squared deviations overflow
+            values = [1e200, 2e200]
+        else:  # no positive sample gives a NaN ratio, so the kernel is replaced
+            monkeypatch.setitem(indices._KERNELS, IndexKind.VMR, lambda *args: vmr)
+            values = [1.0, 2.0]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"not finite: {vmr}"):
+            alpha_plug_in(values)
 
 
 def test_log_space_gamma_ratio_no_overflow():

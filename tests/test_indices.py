@@ -101,6 +101,19 @@ class TestSample:
         assert compute_indices(tuple(IndexKind), s)[IndexKind.VMR] == vmr_value
         assert len(calls) == 1
 
+    def test_keeps_only_finite_values(self):
+        s = Sample([1e200, 2e200])
+        with np.errstate(over="ignore"):
+            assert compute_index(IndexKind.VMR, s) == math.inf
+        # the inf was not kept, so this call computes again and raises
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            compute_index(IndexKind.VMR, s)
+
+    def test_too_short_for_an_index_is_a_size_error(self):
+        with pytest.raises(SizeError) as info:
+            compute_indices(tuple(IndexKind), [1.0])
+        assert str(info.value) == "gini needs at least 2 observations, got 1"
+
 
 @pytest.mark.parametrize(
     ("values", "expected"),
@@ -122,8 +135,8 @@ class TestGini:
     )
     def test_known_values(self, values, expected):
         assert gini_pairwise(values) == pytest.approx(expected, abs=1e-15)
-        assert gini_sorted(values) == pytest.approx(expected, abs=1e-15)
-        assert gini(values) == gini_sorted(values)
+        assert gini(values) == pytest.approx(expected, abs=1e-15)
+        assert gini_sorted is gini
 
     def test_needs_two_observations(self):
         for fn in (gini, gini_pairwise, gini_sorted):

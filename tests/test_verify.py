@@ -20,6 +20,7 @@ from gammadex.rng import RngStream
 from gammadex.sampling import dirichlet_variates, gamma_variates
 from gammadex.special import digamma
 from gammadex.verify import (
+    MAX_REPS,
     McReport,
     VerifyConfig,
     _STREAM_STRIDE,
@@ -415,6 +416,20 @@ class TestRunVerification:
         """The same SizeError as the Monte Carlo checks raise."""
         with pytest.raises(SizeError, match="reps >= 10000"):
             VerifyConfig(reps=9_999)
+
+    def test_rejects_too_many_reps(self):
+        """Every run setting check refuses reps above MAX_REPS before any block is queued."""
+        assert VerifyConfig(reps=MAX_REPS).reps == MAX_REPS
+        too_many = MAX_REPS + 1
+        runs = [
+            lambda: VerifyConfig(reps=too_many),
+            lambda: mc_expectation(IndexKind.GINI, GammaParams(1.0), 2, too_many, RngStream(1)),
+            lambda: lukacs_independence_check(GammaParams(1.0), 2, too_many, RngStream(1)),
+            lambda: dirichlet_product_moment_check(1.0, 2, too_many, RngStream(1)),
+        ]
+        for run in runs:
+            with pytest.raises(SizeError, match=f"at most reps = {MAX_REPS}, got {too_many}"):
+                run()
 
     @pytest.mark.parametrize(
         "setting",
