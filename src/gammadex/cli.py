@@ -40,7 +40,7 @@ from .gamma_forms import GammaParams, alpha_plug_in, debias, expectation, popula
 from .indices import IndexKind, Sample, compute_indices
 from .rng import RngStream
 from .verify import (
-    DEFAULT_SEED, MAX_REPS, MIN_REPS, VerifyConfig, mc_expectation, run_verification,
+    DEFAULT_SEED, MAX_REPS, MAX_WORKERS, MIN_REPS, VerifyConfig, mc_expectation, run_verification,
 )
 
 EXIT_OK = 0
@@ -365,10 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gammadex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p):
+        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+
     def add_common(p, *, index_default="all"):
         p.add_argument("--index", default=index_default,
                        help="gini, theil, atkinson, vmr, or all")
-        p.add_argument("--format", choices=("json", "table", "csv"), default="json")
+        add_format(p)
+
+    def add_law(p, *, n=False):
+        p.add_argument("--alpha", type=float, required=True, help="gamma shape")
+        p.add_argument("--lambda", dest="lam", type=float, default=None, help="gamma rate")
+        if n:
+            p.add_argument("--n", type=int, required=True, help="sample size")
+
+    def add_run(p, *, debias=False):
+        p.add_argument("--reps", type=int, default=200_000,
+                       help=f"Monte Carlo replicates, {MIN_REPS} to {MAX_REPS}")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if debias:
+            p.add_argument("--debias", action="store_true", help="check the debiased estimator")
+        p.add_argument("--workers", type=int, default=1, help=f"worker threads, 1 to {MAX_WORKERS}")
 
     p = sub.add_parser("compute", help="compute indices from a data file")
     add_common(p)
@@ -382,35 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("population", help="closed-form population index values")
     add_common(p)
-    p.add_argument("--alpha", type=float, required=True, help="gamma shape")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="gamma rate")
+    add_law(p)
     p.set_defaults(func=cmd_population)
 
     p = sub.add_parser("expect", help="exact finite-sample expectation and bias")
     add_common(p)
-    p.add_argument("--alpha", type=float, required=True, help="gamma shape")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="gamma rate")
-    p.add_argument("--n", type=int, required=True, help="sample size")
+    add_law(p, n=True)
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo check of one estimator")
     add_common(p, index_default=None)
-    p.add_argument("--alpha", type=float, required=True, help="gamma shape")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="gamma rate")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--reps", type=int, default=200_000,
-                   help=f"Monte Carlo replicates, {MIN_REPS} to {MAX_REPS}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--debias", action="store_true", help="check the debiased estimator")
-    p.add_argument("--workers", type=int, default=1)
+    add_law(p, n=True)
+    add_run(p, debias=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the full verification grid")
-    p.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    p.add_argument("--reps", type=int, default=200_000,
-                   help=f"Monte Carlo replicates, {MIN_REPS} to {MAX_REPS}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    add_format(p)
+    add_run(p)
     p.add_argument("--grid", nargs="*", default=None,
                    help="subset the grid, e.g. --grid alpha=0.5,1 n=2")
     p.set_defaults(func=cmd_verify)

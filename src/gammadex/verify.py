@@ -14,7 +14,7 @@ job's merge order is fixed, so results are bit-identical regardless of
 how many workers execute the blocks.  A block holds
 ``min(reps, 25_000) * n`` variates, at most ``2**25``: a larger sample size,
 like reps outside ``[MIN_REPS, MAX_REPS]``, is a ``SizeError`` before
-anything is drawn.
+anything is drawn, and workers outside ``[1, MAX_WORKERS]`` a ``DomainError``.
 Quadrature and enumeration checks reuse the same report shape with
 ``reps = 0``; quadrature lines carry their agreement tolerance as a pseudo
 standard error so the pass rule ``|z_score| <= Z_MAX`` applies uniformly.
@@ -80,6 +80,11 @@ MIN_REPS = 10_000
 # cell.  Every block of a run is queued before any is drawn, at about 1.6 kB
 # a block, so without a bound a mistyped reps could ask for gigabytes.
 MAX_REPS = 10**7
+# Most worker threads one run may ask for.  The pool starts a thread on each
+# submit while every thread is busy, and each holds a block of up to about
+# 0.8 GB in flight, so without a bound a mistyped workers could ask for
+# thousands of threads and their blocks.
+MAX_WORKERS = 64
 # The pass rule of every line with a standard error, |z_score| <= Z_MAX.
 # No argument, flag or setting changes it.
 Z_MAX = 4.0
@@ -143,8 +148,8 @@ def _require_run(reps: int, workers: int) -> tuple[int, int]:
     if reps > MAX_REPS:
         raise SizeError(f"Monte Carlo checks take at most reps = {MAX_REPS}, got {reps}")
     workers = _require_whole(workers, "workers must be a whole number")
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be 1 to {MAX_WORKERS}, got {workers}")
     return reps, workers
 
 

@@ -621,6 +621,8 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         ["population", "--index", "vmr", "--alpha", "1", "--lambda", "0"],
         [*NARROW_VERIFY_ARGS, "--workers", "0"],
         [*NARROW_VERIFY_ARGS, "--workers", "-3"],
+        [*NARROW_VERIFY_ARGS, "--workers", str(verify.MAX_WORKERS + 1)],
+        [*SIMULATE_ARGS, "--index", "gini", "--workers", str(verify.MAX_WORKERS + 1)],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--workers", "0"],
         ["verify", "--grid", "alpha=3.7", "n=3", "--reps", "10000", "--seed", "-1"],
         # vmr scales with the rate, so no command runs it at an unstated one
@@ -632,10 +634,14 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
     ],
     ids=" ".join,
 )
-def test_bad_flag_is_usage_error(capsys, argv):
+def test_bad_flag_is_usage_error(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was constructed")
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", no_pool)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
-    assert err.startswith("USAGE_ERROR:")
+    assert err.startswith("USAGE_ERROR:") and err.count("\n") == 1
     assert out == ""
 
 

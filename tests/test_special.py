@@ -34,10 +34,31 @@ def test_log_gamma_known_values(x, expected):
     assert log_gamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("x", np.logspace(-3, 6, 60).tolist())
-def test_log_gamma_matches_stdlib(x):
-    # math.lgamma is an independent implementation of the same function.
-    assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+# Within 1e-3 of the zeros of ln Gamma at 1 and 2, where it is a difference
+# of terms of size 1
+NEAR_LOG_GAMMA_ZEROS = [
+    z + s * d for z in (1.0, 2.0) for s in (-1.0, 1.0) for d in (1e-3, 1e-4, 1e-6, 1e-9, 1e-12)
+]
+
+
+@pytest.mark.parametrize("x", [*np.logspace(-3, 6, 60).tolist(), *NEAR_LOG_GAMMA_ZEROS])
+def test_log_gamma_matches_mpmath(x):
+    # relative error away from the zeros, absolute error around them, where
+    # ln Gamma falls to 0 and a relative bound would demand more than its
+    # rounding gives
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(mpmath.loggamma(x))
+    if 0.5 < x < 2.5:
+        assert abs(log_gamma(x) - exact) <= 2e-15
+    else:
+        assert log_gamma(x) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_log_gamma_overflows_to_inf():
+    # ln Gamma(x) is about x log x, which passes the double range near x = 2.6e305
+    assert math.isfinite(log_gamma(2.5e305))
+    assert log_gamma(1e308) == math.inf
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from gammadex.sampling import dirichlet_variates, gamma_variates
 from gammadex.special import digamma
 from gammadex.verify import (
     MAX_REPS,
+    MAX_WORKERS,
     McReport,
     VerifyConfig,
     _STREAM_STRIDE,
@@ -343,6 +344,10 @@ class TestReports:
         assert len({len(line) for line in lines[2:]}) == 1  # rows equally padded
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was constructed")
+
+
 class TestRunVerification:
     def test_tiny_grid_passes_and_orders_deterministically(self):
         cfg = VerifyConfig(alphas=(1.0,), ns=(2,), reps=10_000, seed=11)
@@ -431,14 +436,44 @@ class TestRunVerification:
             with pytest.raises(SizeError, match=f"at most reps = {MAX_REPS}, got {too_many}"):
                 run()
 
+    def test_rejects_too_many_workers(self, monkeypatch):
+        """The library checks refuse workers above MAX_WORKERS before any pool exists."""
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", _no_pool)
+        assert VerifyConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+        too_many = MAX_WORKERS + 1
+        runs = [
+            lambda: mc_expectation(
+                IndexKind.GINI, GammaParams(1.0), 2, 10_000, RngStream(1), workers=too_many
+            ),
+            lambda: lukacs_independence_check(
+                GammaParams(1.0), 2, 10_000, RngStream(1), workers=too_many
+            ),
+            lambda: dirichlet_product_moment_check(1.0, 2, 10_000, RngStream(1), workers=too_many),
+        ]
+        for run in runs:
+            with pytest.raises(DomainError, match=f"1 to {MAX_WORKERS}, got {too_many}"):
+                run()
+
     @pytest.mark.parametrize(
         "setting",
-        [{"workers": 0}, {"seed": -1}, {"reps": 10_000.9}, {"workers": 1.5}],
-        ids=["workers=0", "seed=-1", "reps=10000.9", "workers=1.5"],
+        [{"workers": 0}, {"seed": -1}, {"reps": 10_000.9}, {"workers": 1.5},
+         {"workers": MAX_WORKERS + 1}],
+        ids=["workers=0", "seed=-1", "reps=10000.9", "workers=1.5", "workers=MAX_WORKERS+1"],
     )
-    def test_rejects_bad_run_settings(self, setting):
+    def test_rejects_bad_run_settings(self, monkeypatch, setting):
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", _no_pool)
         with pytest.raises(DomainError):
             VerifyConfig(**setting)
+
+    def test_quadrature_lines_agree_to_rounding(self):
+        """Each beta-integral line's quadrature is within 2e-15 of its closed form."""
+        cfg = VerifyConfig(alphas=(1.0,), lambdas=(1.0,), ns=(2,), reps=10_000)
+        lines = [
+            r for r in run_verification(cfg).reports
+            if r.kind.startswith(("beta_ulogu[", "abs_2r_minus_1["))
+        ]
+        assert len(lines) == len(verify.ULOGU_SHAPES) ** 2 + len(verify.ABS2R_ALPHAS) == 20
+        assert max(abs(r.mc_mean - r.target) for r in lines) <= 2e-15
 
     def test_whole_float_reps_is_the_int(self):
         def dicts(reps):
