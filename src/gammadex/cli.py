@@ -27,7 +27,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from functools import cache
@@ -71,97 +73,148 @@ def _parse_kinds(label: str) -> tuple[IndexKind, ...]:
 def read_sample(path: str, column: str | None = None) -> Sample:
     """Load a sample from a plain column of numbers or a headered CSV.
 
-    The file is read as UTF-8, and a leading byte-order mark (Excel's "CSV
-    UTF-8") is dropped.  CSV mode is selected by the ``--column`` flag, or
-    when the first non-blank line holds a comma or is not a number (a lone
-    header); that line is the header, and the default column name is ``y``.
-    A value is read as ``float(text.strip())``: a valid file by one
-    ``np.loadtxt`` call (numpy's C reader), and any other file by one more
-    pass of one float() per value.  Bytes that are not UTF-8, or a missing,
-    non-numeric, non-finite or non-positive value, abort the run with a
-    ``DataError`` that names the first bad physical line.
+    The file is read once as UTF-8, and a leading byte-order mark (Excel's
+    "CSV UTF-8") is dropped.  CSV mode is selected by the ``--column`` flag,
+    or when the first non-blank line holds a comma or is not a number (a
+    lone header); that line is the header, and the default column name is
+    ``y``.  A value is read as ``float(text.strip())``.  A valid regular
+    file is parsed by ``np.loadtxt`` from its path, which numpy's C reader
+    reads in chunks, past the lines up to the header.  Every other file is
+    read once more from the text already read, one float() per value: one
+    the C reader rejects, one whose name ends in a compression suffix that
+    numpy would decompress (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), one that
+    is not a regular file, and one whose ``os.stat`` changed between the two
+    reads, so the values always come from the text the format was found in.
+    Bytes that are not UTF-8, or a missing, non-numeric, non-finite or
+    non-positive value, abort the run with a ``DataError`` that names the
+    first bad line, counted as the file's reader counts lines.
     """
-    text = _read_text(path)
-    match = _FIRST_LINE.search(text)
-    if match is None:
+    text, stamp = _read_text(path, column)
+    is_csv = _is_csv(text, column)
+    if is_csv is None:
         raise DataError(f"input file {path!r} is empty")
-    first = match.group().rstrip()
-
-    def _is_number(token: str) -> bool:
-        try:
-            float(token)
-            return True
-        except ValueError:
-            return False
-
-    is_csv = column is not None or "," in first or not _is_number(first)
-    col = None
+    col, skip = None, 0
     if is_csv:
         column = column or "y"
-        stream, _, header = _csv_reader(text)
+        reader, header = _csv_reader(_lines(text))
         if column not in header:
             raise DataError(f"CSV file {path!r} has no column named {column!r}")
         col = header.index(column)
-    else:
-        stream = io.StringIO(text, newline=None)
+        skip = reader.line_num  # physical lines through the header
 
     def cells():
         """``(line number, text)`` of each value, from a fresh reader of ``text``."""
         if is_csv:
-            _, reader, _ = _csv_reader(text)
+            reader, _ = _csv_reader(io.StringIO(text, newline=None))
             return ((reader.line_num, row[col] if col < len(row) else "")
                     for row in reader if row)
         return ((lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
                 if raw.strip())
 
-    # Valid data is read by one call to numpy's C reader, which strips each
-    # value as str.strip() does and parses it as float() does, and Sample
-    # checks that the values are finite and positive (its DomainError is a
-    # ValueError).  Text that either rejects is read once more, one float()
-    # per stripped value: float() also takes underscores, non-ASCII digits
-    # and whitespace-only plain lines, and a bad value names its line.
-    quoting = {} if col is None else {"quotechar": '"', "usecols": col}
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # without usecols a plain line holding a comma is an error, not a first field
-            values = np.loadtxt(stream, dtype=float, delimiter=",", comments=None, ndmin=1,
-                                **quoting)
-        if len(values):
-            return Sample(values)
-    except ValueError:
-        values = _checked_values(cells(), path)
-        if values:
-            return Sample(np.asarray(values))
+    # numpy's C reader strips each value as str.strip() does and parses it
+    # as float() does, and Sample checks that the values are finite and
+    # positive (its DomainError is a ValueError).  A file that either
+    # rejects is read once more, one float() per stripped value: float()
+    # also takes underscores, non-ASCII digits and whitespace-only plain
+    # lines, and a bad value names its line.
+    if stamp is not None and not path.lower().endswith(_COMPRESSED):
+        quoting = {} if col is None else {"quotechar": '"', "usecols": col}
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # without usecols a plain line holding a comma is an error, not a first field;
+                # an absolute path is never taken for a URL
+                values = np.loadtxt(os.path.abspath(path), dtype=float, delimiter=",",
+                                    comments=None, ndmin=1, encoding="utf-8-sig",
+                                    skiprows=skip, **quoting)
+            if len(values) and _stamp(os.stat(path)) == stamp:
+                return Sample(values)
+        except (ValueError, OSError):
+            pass
+    values = _checked_values(cells(), path)
+    if values:
+        return Sample(np.asarray(values))
     raise DataError(f"input file {path!r} contains no values")
 
 
-def _read_text(path: str) -> str:
-    """The file decoded as UTF-8, without a leading byte-order mark."""
+# Suffixes for which numpy's reader opens a path through a decompressor.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+# The line ends that csv counts in ``reader.line_num``, and those of
+# str.splitlines, by which a plain column numbers its lines.
+_CSV_LINE_END = re.compile(r"\r\n|\r|\n")
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _is_csv(text: str, column: str | None) -> bool | None:
+    """Whether ``text`` is read as CSV; None when it has no non-blank line."""
+    match = _FIRST_LINE.search(text)
+    if match is None:
+        return None
+    first = match.group().rstrip()
+    if column is not None or "," in first:
+        return True
     try:
-        data = Path(path).read_bytes()
+        float(first)
+    except ValueError:
+        return True  # a lone header
+    return False
+
+
+def _stamp(status: os.stat_result) -> tuple | None:
+    """What changes when a regular file is replaced or written; None for any other file."""
+    if not stat.S_ISREG(status.st_mode):
+        return None
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _read_text(path: str, column: str | None) -> tuple[str, tuple | None]:
+    """The file decoded as UTF-8, without a leading byte-order mark, and its ``_stamp``.
+
+    A byte that is not UTF-8 is a ``DataError`` naming its line, counted
+    as the reader of the file, plain or CSV, would count it.
+    """
+    try:
+        with Path(path).open("rb") as f:
+            data = f.read()
+            stamp = _stamp(os.fstat(f.fileno()))
     except OSError as exc:
         raise DataError(f"cannot read input file {path!r}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len(re.split(rb"\r\n|\r|\n", data[: exc.start]))
+        is_csv = _is_csv(data.decode("utf-8", "replace").removeprefix("\ufeff"), column)
+        ends = _CSV_LINE_END if is_csv else _LINE_END
+        lineno = len(ends.findall(data[: exc.start].decode("utf-8"))) + 1
         raise DataError(
             f"{path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
         ) from None
-    return text.removeprefix("\ufeff")
+    return text.removeprefix("\ufeff"), stamp
 
 
-def _csv_reader(text: str):
-    """A stream over ``text``, a CSV reader of it, and its header, the first non-blank row.
+def _lines(text: str):
+    """The lines of ``text`` one at a time, as ``io.StringIO(text, newline=None)`` gives them.
 
-    ``newline=None`` reads ``\\r\\n`` and ``\\r`` line ends as ``\\n``, so
-    ``reader.line_num`` counts physical lines whatever their ends.  The
-    stream stands just past the header.
+    Each ``\\r\\n``, ``\\r`` or ``\\n`` ends a line and is read as ``\\n``.
+    Unlike the stream, this builds no copy of the whole text, so the lines
+    through a CSV header cost only their own length.
     """
-    stream = io.StringIO(text, newline=None)
-    reader = csv.reader(stream)
-    return stream, reader, next((row for row in reader if "".join(row).strip()), [])
+    start = 0
+    for end in _CSV_LINE_END.finditer(text):
+        yield text[start : end.start()] + "\n"
+        start = end.end()
+    if start < len(text):
+        yield text[start:]
+
+
+def _csv_reader(lines):
+    """A CSV reader of ``lines`` and its header, the first non-blank row.
+
+    With the lines' ends read as ``\\n``, ``reader.line_num`` counts physical
+    lines whatever their ends, as numpy's reader does when it opens the file.
+    """
+    reader = csv.reader(lines)
+    return reader, next((row for row in reader if "".join(row).strip()), [])
 
 
 def _checked_values(cells, path: str) -> list[float]:

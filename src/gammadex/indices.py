@@ -211,8 +211,11 @@ def fsum(x: np.ndarray) -> float:
     2^e > max|r|, sigma = 2^(M+e) splits each residual r into
     q = (r + sigma) - sigma and r - q, both exactly.  Every q is a multiple
     of one power of two and the q sum to less than sigma in magnitude, so
-    numpy's pairwise sum of them, in whatever order, is exact.  Passes repeat
-    over the nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left;
+    numpy's pairwise sum of them, in whatever order, is exact.  After the
+    first pass ``_settled`` tries to prove, as the paper's AccSum does, that
+    this exact partial sum plus a float sum of the residuals already rounds
+    to the true sum; it almost always does.  Otherwise passes repeat over
+    the nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left;
     the partial sums and those residuals add up exactly to the sum of ``x``,
     so ``math.fsum`` of them is ``math.fsum(x)``.  A shorter ``x`` makes no
     pass and is summed whole by ``math.fsum(x.tolist())``: ``tolist`` hands
@@ -234,10 +237,41 @@ def fsum(x: np.ndarray) -> float:
             q -= sigma
             r = r - q
             partials.append(float(q.sum()))
+            if len(partials) == 1:
+                total = _settled(partials[0], r, exponent)
+                if total is not None:
+                    return total
             r = r[r != 0.0]
         return math.fsum(partials + r.tolist())
     except OverflowError:
         raise NumericError("a sum overflows the double range") from None
+
+
+def _settled(p: float, r: np.ndarray, exponent: int) -> float | None:
+    """The correctly rounded p + sum(r), if one float sum of r settles it; else None.
+
+    Each residual of a pass at sigma = 2^e is at most 2^(e-53) in magnitude,
+    so numpy's sum of the m residuals, in any order, is within
+    err = 2·m²·2^(e-106) of their exact sum: the classic bound
+    (m-1)·u/(1 - (m-1)·u)·sum|r|, u = 2^-53, is below m²·2^(e-106)/(1 - m·u),
+    and the factor 2 covers that divisor and the rounding of err.
+    Below the normal range every rounding error is a multiple of 2^-1074,
+    so an err that rounds below it still bounds an error that must be 0.
+    TwoSum splits p + sum(r) into s + t exactly, so the true sum lies
+    within |t| + err of s, and when that is less than half the gap to
+    either neighbour of s, s is its nearest double.  A tie fails the test,
+    and so does a zero or subnormal s, whose half gap rounds to 0; they and
+    an overflow go on to further passes.
+    """
+    err = math.ldexp(2 * r.size**2, exponent - 106)
+    rest = float(r.sum())
+    s = p + rest
+    if not math.isfinite(s):
+        return None
+    b = s - p
+    t = (p - (s - b)) + (rest - b)
+    gap = min(s - math.nextafter(s, -math.inf), math.nextafter(s, math.inf) - s)
+    return s if abs(t) + err < 0.5 * gap else None
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import csv
+import gzip
 import io
 import json
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammadex import verify
+from gammadex import cli, verify
 from gammadex.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -156,6 +160,153 @@ class TestReadSample:
         p = tmp_path / "bom.csv"
         p.write_bytes("\ufeffid,y\n3,1\n4,2\n".encode("utf-8"))
         assert read_sample(str(p), column="id").values.tolist() == [3.0, 4.0]
+
+
+    def test_plain_bad_byte_line_counts_splitlines_ends(self, tmp_path):
+        """A plain column numbers a bad byte's line as it numbers a bad value's."""
+        p = tmp_path / "d.txt"
+        p.write_bytes(b"1.5\f2.5\n-3\n")
+        with pytest.raises(DataError, match=r"d\.txt:3: values must be strictly positive"):
+            read_sample(str(p))
+        p.write_bytes(b"1.5\f2.5\n\xff\n")
+        with pytest.raises(DataError, match=r"d\.txt:3: not UTF-8 text: byte 0xff"):
+            read_sample(str(p))
+
+    def test_csv_bad_byte_line_counts_csv_line_ends(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'id,y\n1,"2\v"\n\v2,-3\n')
+        with pytest.raises(DataError, match=r"d\.csv:3: values must be strictly positive"):
+            read_sample(str(p))
+        p.write_bytes(b'id,y\n1,"2\v"\n\v2,\xe93\n')
+        with pytest.raises(DataError, match=r"d\.csv:3: not UTF-8 text: byte 0xe9"):
+            read_sample(str(p))
+
+
+@pytest.fixture()
+def no_fallback(monkeypatch):
+    """Fail any read that leaves the path read for the per-value fallback."""
+    def fail(cells, path):
+        raise AssertionError(f"{path} went to the per-value fallback")
+
+    monkeypatch.setattr(cli, "_checked_values", fail)
+
+
+class TestPathRead:
+    """numpy reads a valid regular file from its path; the fallback takes the rest."""
+
+    @pytest.mark.parametrize("suffix", ["txt", "csv"])
+    def test_large_file_is_read_from_its_path(self, tmp_path, no_fallback, suffix):
+        y = np.random.default_rng(31).gamma(0.5, 2.0, 200_000)
+        text = [repr(v) for v in y.tolist()]
+        p = tmp_path / f"data.{suffix}"
+        if suffix == "txt":
+            p.write_text("\n".join(text) + "\n")
+        else:
+            p.write_text("id,y,w\n" + "".join(f"{j},{v},1\n" for j, v in enumerate(text)))
+        assert read_sample(str(p)).values.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("content, column, expected", [
+        ("\ufeffy\n1.5\n2.5\n", None, [1.5, 2.5]),
+        ("\n \r\n\t\nid,y\r\n1,2\r\n3,4\r\n", None, [2.0, 4.0]),
+        ('id,"a\nb",y\n1,2,3\n4,5,6\n', None, [3.0, 6.0]),
+        ('\n"x\r\ny",y\n1,2\n', None, [2.0]),
+    ], ids=["bom-header", "blank-lines-before-header",
+            "quoted-newline-in-header", "blank-line-and-quoted-newline"])
+    def test_lines_through_the_header_are_skipped(self, tmp_path, no_fallback,
+                                                  content, column, expected):
+        p = tmp_path / "d.csv"
+        p.write_bytes(content.encode("utf-8"))
+        assert read_sample(str(p), column).values.tolist() == expected
+
+    def test_relative_path(self, tmp_path, monkeypatch, no_fallback):
+        monkeypatch.chdir(tmp_path)
+        Path("d.txt").write_text("1.5\n2.5\n")
+        assert read_sample("d.txt").values.tolist() == [1.5, 2.5]
+
+    def test_path_that_parses_as_a_url_is_the_local_file(self, tmp_path, monkeypatch,
+                                                          no_fallback):
+        # numpy's reader fetches a str with a scheme and a host; the path it is
+        # given is absolute, so it opens the local file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost:1").mkdir(parents=True)
+        Path("http://localhost:1/d.txt").write_text("1.5\n2.5\n")
+        assert read_sample("http://localhost:1/d.txt").values.tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+    def test_plain_text_named_like_a_compressed_file(self, tmp_path, monkeypatch, suffix):
+        """numpy would open the path through a decompressor, so the fallback reads it."""
+        def no_path_read(*args, **kwargs):
+            raise AssertionError("a compressed suffix reached numpy's reader")
+
+        monkeypatch.setattr(cli.np, "loadtxt", no_path_read)
+        p = tmp_path / f"d{suffix}"
+        p.write_text("1.5\n2.5\n")
+        assert read_sample(str(p)).values.tolist() == [1.5, 2.5]
+
+    def test_compressed_file_is_refused(self, tmp_path):
+        p = tmp_path / "d.gz"
+        p.write_bytes(gzip.compress(b"1.5\n2.5\n"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            read_sample(str(p))
+
+    def test_named_pipe_is_read_once(self, tmp_path):
+        """A second open of a pipe would wait for a writer that never comes."""
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as f:
+                f.write("1.5\n2.5\n")
+
+        read = []
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(target=lambda: read.append(read_sample(str(fifo))), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "read_sample opened the pipe a second time"
+        assert read[0].values.tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("change", ["size", "mtime"])
+    def test_file_changed_between_reads_gives_the_first_read(self, tmp_path, monkeypatch,
+                                                             change):
+        """Values and format come from one read: the text the format was found in."""
+        p = tmp_path / "d.txt"
+        p.write_text("1.5\n2.5\n")
+        mtime = p.stat().st_mtime_ns
+        loadtxt = np.loadtxt
+
+        def rewritten_first(fname, *args, **kwargs):
+            if change == "size":
+                p.write_text("1.5\n2.5\n4.5\n")
+            else:
+                p.write_text("7.5\n9.5\n")
+                os.utime(p, ns=(mtime + 10**9, mtime + 10**9))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(cli.np, "loadtxt", rewritten_first)
+        assert read_sample(str(p)).values.tolist() == [1.5, 2.5]
+
+    def test_stat_that_changes_between_reads_gives_the_fallback(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.txt"
+        p.write_text("1.5\n2.5\n")
+        read = []
+        checked_values = cli._checked_values
+        monkeypatch.setattr(cli, "_checked_values",
+                            lambda cells, path: read.append(path) or checked_values(cells, path))
+        real_stat = os.stat
+
+        def later_stat(path, *args, **kwargs):
+            status = real_stat(path, *args, **kwargs)
+            if os.fspath(path) != str(p):
+                return status
+            return SimpleNamespace(st_mode=status.st_mode, st_dev=status.st_dev,
+                                   st_ino=status.st_ino, st_size=status.st_size,
+                                   st_mtime_ns=status.st_mtime_ns + 1)
+
+        monkeypatch.setattr(cli.os, "stat", later_stat)
+        assert read_sample(str(p)).values.tolist() == [1.5, 2.5]
+        assert read == [str(p)]
 
 
 def _line_by_line_read_sample(path: str, column: str | None = None) -> Sample:

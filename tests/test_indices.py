@@ -346,6 +346,58 @@ def test_extracted_sum_of_special_values_is_fsum():
     assert math.copysign(1.0, fsum(zeros)) == math.copysign(1.0, math.fsum(zeros))
 
 
+@st.composite
+def _hard_sums(draw):
+    """599 to 5,000 doubles whose correctly rounded sum is hard to settle.
+
+    Mixed signs over a drawn span of scales in 1e-300..1e300, optionally with
+    subnormals, and then one of: as drawn; exact half-ulp ties
+    ([1, 2**-53, 0, ...] rounds to even down, [1 + 2**-52, 2**-53, 0, ...]
+    up); mirrored pairs that cancel to exactly 0; or one term that cancels
+    the rest to a last few bits.
+    """
+    n = draw(st.integers(_VECTOR_SUM_MIN - 1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    lo = draw(st.floats(-300.0, 300.0))
+    hi = draw(st.floats(lo, 300.0))
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        x[rng.choice(n, k, replace=False)] = rng.integers(-(2**20), 2**20, k) * 5e-324
+    shape = draw(st.sampled_from(["drawn", "tie", "tie-up", "cancel", "cancel-but-bits"]))
+    if shape in ("tie", "tie-up"):
+        x[:] = 0.0
+        x[:2] = (1.0 if shape == "tie" else 1.0 + 2.0**-52), 2.0**-53
+    elif shape == "cancel":
+        half = x[: n // 2]
+        x = np.concatenate([half, -half, np.zeros(n % 2)])
+    elif shape == "cancel-but-bits":
+        x[0] = 0.0
+        x[0] = -math.fsum(x.tolist())
+    return rng.permutation(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hard_sums())
+def test_fsum_is_math_fsum_on_hard_sums(x):
+    # the first pass may settle the sum; a wrong early exit differs here
+    got, want = fsum(x), math.fsum(x.tolist())
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_large_gamma_sum_settles_after_one_pass(monkeypatch):
+    """A 200k gamma sample is summed by one extraction pass and no math.fsum."""
+    y = np.random.default_rng(8).gamma(0.5, 2.0, 200_000)
+    want = math.fsum(y.tolist())
+
+    def no_fsum(values):
+        raise AssertionError("fsum went on past its first pass")
+
+    monkeypatch.setattr(indices.math, "fsum", no_fsum)
+    assert fsum(y) == want
+
+
 def test_overflowing_sum_is_a_numeric_error():
     with pytest.raises(NumericError):
         fsum(np.array([1e308, 1e308]))
