@@ -381,6 +381,8 @@ def _parse_grid(tokens: list[str]) -> dict:
         key = key.strip().lower()
         if key not in ("alpha", "lambda", "n"):
             raise DomainError(f"--grid key must be alpha, lambda, or n, got {key!r}")
+        if key in subsets:
+            raise DomainError(f"--grid key {key} is given twice")
         try:
             values = [float(v) for v in raw.split(",") if v]
         except ValueError:

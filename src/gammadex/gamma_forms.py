@@ -146,7 +146,8 @@ def population_value(kind: IndexKind, params: GammaParams) -> float:
 
 def _require_whole(value: int, rule: str) -> int:
     """``value`` as an int; anything but a whole number is a ``DomainError`` stating ``rule``."""
-    if not (isinstance(value, int) or float(value).is_integer()):
+    number = not isinstance(value, (str, bytes, bool))  # though int() and float() take them
+    if not (number and (isinstance(value, int) or float(value).is_integer())):
         raise DomainError(f"{rule}, got {value!r}")
     return int(value)
 

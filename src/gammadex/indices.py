@@ -14,8 +14,9 @@ which every index of the same samples shares.  The one-sample API passes
 ``fsum``, the correctly rounded sum that ``math.fsum`` gives, so sums that
 feed ratios are exact to the last bit and the O(n log n) Gini path and the
 brute-force pairwise oracle agree to ~1e-15 even for large samples.  From
-``_VECTOR_SUM_MIN`` values on ``fsum`` gets that sum by error-free
-extraction in numpy's loops (Rump, Ogita & Oishi 2008), bit for bit.
+``_VECTOR_SUM_MIN`` values on ``fsum`` gets that sum from one error-free
+extraction pass in numpy's loops (Rump, Ogita & Oishi 2008) when the pass
+settles it, and from ``math.fsum`` otherwise.
 Monte Carlo blocks are ``(n, samples)`` arrays, pass ``column_sums`` and
 get one value per column from the same formulas, except that a short
 block's Gini sums its pairs of rows as the definition does.
@@ -151,18 +152,21 @@ def _require_n(s: Sample, minimum: int, what: str) -> None:
         raise SizeError(f"{what} needs at least {minimum} observations, got {s.n}")
 
 
-def _snap(value, lo: float | None = None, hi: float | None = None, slack: float = 1e-9):
+_SNAP_SLACK = 1e-9  # how far past a bound ``_snap`` takes a value as rounding noise
+
+
+def _snap(value, lo: float | None = None, hi: float | None = None):
     """Pull values that violate a mathematical bound by rounding noise back onto it."""
     if not isinstance(value, np.ndarray):  # one sample's value: no 0-d arrays to build
-        if lo is not None and lo - slack <= value < lo:
+        if lo is not None and lo - _SNAP_SLACK <= value < lo:
             return lo
-        if hi is not None and hi < value <= hi + slack:
+        if hi is not None and hi < value <= hi + _SNAP_SLACK:
             return hi
         return value
     if lo is not None:
-        value = np.where((lo - slack <= value) & (value < lo), lo, value)
+        value = np.where((lo - _SNAP_SLACK <= value) & (value < lo), lo, value)
     if hi is not None:
-        value = np.where((hi < value) & (value <= hi + slack), hi, value)
+        value = np.where((hi < value) & (value <= hi + _SNAP_SLACK), hi, value)
     return value
 
 
@@ -195,11 +199,12 @@ def gini_pairwise(values: SampleLike) -> float:
 Reducer = Callable[[np.ndarray], "float | np.ndarray"]
 
 
-# From this many values on, ``fsum`` sums by error-free extraction in numpy's
-# loops; below it, one ``math.fsum`` over the values is faster.  Measured on
-# the gamma-derived arrays the kernels sum (2 shared vCPUs, numpy 2.4): both
-# take about 44 ns per value at 600 values; at 1,000 values extraction takes
-# about 25 ns against 42.
+# From this many values on ``fsum`` makes its extraction pass.  On the
+# gamma-derived arrays the kernels sum (2 shared vCPUs, numpy 2.4, medians
+# of 15 alternated runs) ``math.fsum`` against the pass took 7.5 against 9.1
+# us at 200 values, 9.5/8.8 at 250, 12.0/9.0 at 300 and 30/14 at 600.  The
+# bound stays above that crossover, where the one-sample bit pins of 599 and
+# 600 values straddle it; a sum in between pays a few microseconds.
 _VECTOR_SUM_MIN = 600
 
 
@@ -208,41 +213,31 @@ def fsum(x: np.ndarray) -> float:
 
     ExtractVector (Rump, Ogita & Oishi 2008, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1)): with 2^M > n + 2 and
-    2^e > max|r|, sigma = 2^(M+e) splits each residual r into
-    q = (r + sigma) - sigma and r - q, both exactly.  Every q is a multiple
-    of one power of two and the q sum to less than sigma in magnitude, so
-    numpy's pairwise sum of them, in whatever order, is exact.  After the
-    first pass ``_settled`` tries to prove, as the paper's AccSum does, that
-    this exact partial sum plus a float sum of the residuals already rounds
-    to the true sum; it almost always does.  Otherwise passes repeat over
-    the nonzero residuals until fewer than ``_VECTOR_SUM_MIN`` are left;
-    the partial sums and those residuals add up exactly to the sum of ``x``,
-    so ``math.fsum`` of them is ``math.fsum(x)``.  A shorter ``x`` makes no
-    pass and is summed whole by ``math.fsum(x.tolist())``: ``tolist`` hands
-    it the same doubles as Python floats, which it reads faster than numpy
-    scalars boxed one at a time.  NaN, an infinity, all zeros or a sigma
-    beyond the double range also hand ``x`` to ``math.fsum`` whole, so those
-    cases return what it does.  A sum whose partials overflow the double
-    range is a ``NumericError``.
+    2^e > max|x|, sigma = 2^(M+e) splits each x into q = (x + sigma) - sigma
+    and x - q, both exactly.  Every q is a multiple of one power of two and
+    the q sum to less than sigma in magnitude, so numpy's pairwise sum of
+    them, in whatever order, is exact.  From ``_VECTOR_SUM_MIN`` values on
+    ``fsum`` makes that one pass and returns what ``_settled`` proves, as
+    the paper's AccSum does, to be the rounded sum; that is almost always
+    so.  Any other ``x`` is summed whole by ``math.fsum(x.tolist())``, so a
+    NaN, an infinity, only zeros or a sigma beyond the double range give
+    what ``math.fsum`` does; ``tolist`` hands it the same doubles as Python
+    floats, which it reads faster than boxed numpy scalars.  A sum that
+    overflows partway is a ``NumericError``, as ``math.fsum`` finds it; the
+    pass, with sigma in range, cannot overflow.
     """
-    try:
-        partials, r = [], x
-        while r.size >= _VECTOR_SUM_MIN:
-            largest = max(r.max(), -r.min())
-            exponent = (r.size + 2).bit_length() + math.frexp(largest)[1]
-            if not (0.0 < largest < math.inf and exponent < 1024):
-                return math.fsum(x.tolist())
+    if x.size >= _VECTOR_SUM_MIN:
+        largest = max(x.max(), -x.min())
+        exponent = (x.size + 2).bit_length() + math.frexp(largest)[1]
+        if 0.0 < largest < math.inf and exponent < 1024:
             sigma = math.ldexp(1.0, exponent)
-            q = r + sigma
+            q = x + sigma
             q -= sigma
-            r = r - q
-            partials.append(float(q.sum()))
-            if len(partials) == 1:
-                total = _settled(partials[0], r, exponent)
-                if total is not None:
-                    return total
-            r = r[r != 0.0]
-        return math.fsum(partials + r.tolist())
+            total = _settled(float(q.sum()), x - q, exponent)
+            if total is not None:
+                return total
+    try:
+        return math.fsum(x.tolist())
     except OverflowError:
         raise NumericError("a sum overflows the double range") from None
 
@@ -261,7 +256,7 @@ def _settled(p: float, r: np.ndarray, exponent: int) -> float | None:
     within |t| + err of s, and when that is less than half the gap to
     either neighbour of s, s is its nearest double.  A tie fails the test,
     and so does a zero or subnormal s, whose half gap rounds to 0; they and
-    an overflow go on to further passes.
+    an overflow are left to ``math.fsum``.
     """
     err = math.ldexp(2 * r.size**2, exponent - 106)
     rest = float(r.sum())

@@ -782,6 +782,7 @@ NARROW_VERIFY_ARGS = ["verify", "--reps", "10000", "--grid", "alpha=1", "n=2", "
         ["verify", "--grid", "alpha"],
         ["verify", "--grid", "alpha=x"],
         ["verify", "--grid", "alpha="],
+        ["verify", "--grid", "n=2", "n=5"],
     ],
     ids=" ".join,
 )

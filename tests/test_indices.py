@@ -386,16 +386,55 @@ def test_fsum_is_math_fsum_on_hard_sums(x):
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+_GAMMA = np.random.default_rng(8).gamma(0.5, 2.0, 200_000)
+
+
 def test_large_gamma_sum_settles_after_one_pass(monkeypatch):
     """A 200k gamma sample is summed by one extraction pass and no math.fsum."""
-    y = np.random.default_rng(8).gamma(0.5, 2.0, 200_000)
-    want = math.fsum(y.tolist())
+    want = math.fsum(_GAMMA.tolist())
 
     def no_fsum(values):
         raise AssertionError("fsum went on past its first pass")
 
     monkeypatch.setattr(indices.math, "fsum", no_fsum)
-    assert fsum(y) == want
+    assert fsum(_GAMMA) == want
+
+
+def _passes_of_unsettled_fsum(x):
+    """The passes fsum(x) makes with ``_settled`` made to fail, after checking
+    that it then returns the bits of one math.fsum over ``x.tolist()``."""
+    real_fsum, calls, passes = math.fsum, [], []
+
+    def spy(values):
+        calls.append((values, real_fsum(values)))
+        return calls[-1][1]
+
+    def unsettled(p, r, exponent):
+        passes.append(r.size)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indices.math, "fsum", spy)
+        mp.setattr(indices, "_settled", unsettled)
+        got = fsum(x)
+    [(values, want)] = calls
+    assert values == x.tolist()
+    assert got.hex() == want.hex()  # the same bits, a zero's sign too
+    return passes
+
+
+@pytest.mark.parametrize(
+    "x", [_GAMMA, np.random.default_rng(9).permutation(np.concatenate([_GAMMA, -_GAMMA]))],
+    ids=["gamma", "cancels-to-zero"],
+)
+def test_unsettled_pass_hands_x_to_one_math_fsum(x):
+    assert _passes_of_unsettled_fsum(x) == [x.size]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_hard_sums())
+def test_unsettled_hard_sum_goes_to_one_math_fsum(x):
+    assert len(_passes_of_unsettled_fsum(x)) <= 1
 
 
 def test_overflowing_sum_is_a_numeric_error():

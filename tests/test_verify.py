@@ -181,12 +181,16 @@ class TestMcExpectation:
         with pytest.raises(DomainError, match="reps must be a whole number"):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 5, 10_000.9, RngStream(1))
 
+    def test_rejects_reps_given_as_a_string(self):
+        with pytest.raises(DomainError, match="reps must be a whole number, got '50000'"):
+            VerifyConfig(reps="50000")
+
     def test_rejects_small_n(self):
         with pytest.raises(SizeError):
             mc_expectation(IndexKind.GINI, GammaParams(1.0), 1, 20_000, RngStream(1))
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", True], ids=repr)
 @pytest.mark.parametrize(
     "call",
     [
